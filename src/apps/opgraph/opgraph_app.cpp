@@ -95,10 +95,12 @@ const char* label_of(int kind) noexcept {
 }
 
 /// Spawns one full iteration through the builder (the fresh-resolution
-/// path; also the capture iteration of the replay variant).
+/// path; also the capture iteration of the replay variant).  `.in(p, n)`
+/// takes an element count: each op declares exactly its three n-element
+/// columns.
 void spawn_iteration(oss::Runtime& rt, const OpGraphWorkload& w, State& s) {
   const int n = w.elems;
-  const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(std::uint64_t);
+  const auto count = static_cast<std::size_t>(n);
   for (int l = 0; l < w.layers; ++l) {
     const std::uint64_t* src = s.src(l);
     std::uint64_t* dst = s.dst(l);
@@ -109,9 +111,9 @@ void spawn_iteration(oss::Runtime& rt, const OpGraphWorkload& w, State& s) {
           src + static_cast<std::size_t>(neighbor(l, j, w.width)) * n;
       std::uint64_t* out = dst + static_cast<std::size_t>(j) * n;
       rt.task(label_of(kind))
-          .in(a, bytes)
-          .in(b, bytes)
-          .out(out, bytes)
+          .in(a, count)
+          .in(b, count)
+          .out(out, count)
           .spawn([kind, a, b, out, n] { run_op(kind, a, b, out, n); });
     }
   }

@@ -132,6 +132,11 @@ struct DepDomain::RegCtx {
   void add_edge(const TaskPtr& producer, DepKind kind, std::uint64_t bytes) {
     if (!producer || producer.get() == task.get()) return;
     vote(producer->home_node(), bytes);
+    // A retired producer needs no edge and can never need one later in
+    // this registration (finished is monotonic), so it skips the dedup
+    // scan and the successor lock.  It has voted above: the edge set and
+    // the inherited home both come out as if it had been recorded.
+    if (producer->finished()) return;
     if (!seen_insert(producer.get())) return;
     if (!producer->add_successor_edge(task)) {
       return; // already retired: no edge needed

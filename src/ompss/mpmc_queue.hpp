@@ -96,11 +96,13 @@ class BoundedMpmcRing {
     T value{}; // guarded by seq's release/acquire handshake
   };
 
-  // Producer and consumer cursors on separate cache lines.
-  alignas(64) std::atomic<std::size_t> enqueue_pos_{0};
-  alignas(64) std::atomic<std::size_t> dequeue_pos_{0};
+  // The read-only ring geometry first, then producer and consumer cursors
+  // on separate cache lines: a push must not fetch the consumers' line
+  // just to find the cells.
   std::unique_ptr<Cell[]> cells_;
   std::size_t mask_ = 0;
+  alignas(64) std::atomic<std::size_t> enqueue_pos_{0};
+  alignas(64) std::atomic<std::size_t> dequeue_pos_{0};
 };
 
 /// Sharded MPMC queue of ready tasks.  Each shard = lock-free ring + mutex
@@ -129,7 +131,12 @@ class ShardedTaskQueue {
   }
 
   /// Scans every shard once from a rotating start; null when all empty.
+  /// An empty queue answers from the relaxed count alone, the same
+  /// emptiness read the park protocol trusts through size(): idle workers
+  /// probe empty queues all the time, and the cursor fetch_add would make
+  /// every probe a write.
   TaskPtr pop() {
+    if (count_.load(std::memory_order_relaxed) <= 0) return nullptr;
     const std::size_t n = shards_.size();
     const std::size_t base = n > 1 ? rotate(pop_cursor_) : 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -182,10 +189,13 @@ class ShardedTaskQueue {
     return shards_[rotate(cursor)].get();
   }
 
+  // Producers write push_cursor_, consumers pop_cursor_, both count_: one
+  // line each, so a spawner's push never waits on a line idle pickers
+  // keep pulling away.
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::size_t> push_cursor_{0};
-  std::atomic<std::size_t> pop_cursor_{0};
-  std::atomic<std::int64_t> count_{0};
+  alignas(64) std::atomic<std::size_t> push_cursor_{0};
+  alignas(64) std::atomic<std::size_t> pop_cursor_{0};
+  alignas(64) std::atomic<std::int64_t> count_{0};
 };
 
 } // namespace oss

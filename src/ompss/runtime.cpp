@@ -505,7 +505,7 @@ TaskHandle Runtime::spawn_task(TaskSpec spec, Task::Fn fn) {
     // allocator once the pool and the task's buffers are warm.
     const pool::AcquireResult a = pool::acquire();
     stats_.on_pool_acquire(a.recycled);
-    a.task->prepare(id, std::move(fn), ctx, std::move(spec.label));
+    a.task->prepare(id, std::move(fn), std::move(ctx), std::move(spec.label));
     a.task->set_accesses(spec.accesses.data(), spec.accesses.size());
     task = TaskPtr::adopt(a.task);
   } else {
@@ -513,12 +513,16 @@ TaskHandle Runtime::spawn_task(TaskSpec spec, Task::Fn fn) {
     // release — the pre-pool behavior.
     task = TaskPtr::adopt(
         new Task(id, std::move(fn),
-                 AccessList(spec.accesses.begin(), spec.accesses.end()), ctx,
-                 std::move(spec.label)));
+                 AccessList(spec.accesses.begin(), spec.accesses.end()),
+                 std::move(ctx), std::move(spec.label)));
   }
+  // `ctx` moved into the task: its refcount shares a line with every
+  // retiring worker, so a spawn bumps it once and reaches the context
+  // through the task from here on.
+  TaskContext& parent = *task->parent_context();
   task->set_priority(spec.priority);
   task->set_undeferred(!spec.deferred);
-  ctx->live_children.fetch_add(1, std::memory_order_acq_rel);
+  parent.live_children.fetch_add(1, std::memory_order_acq_rel);
   pending_.fetch_add(1, std::memory_order_acq_rel);
 
   if (graph_) graph_->add_node(id, task->label());
@@ -543,7 +547,7 @@ TaskHandle Runtime::spawn_task(TaskSpec spec, Task::Fn fn) {
   if (cap != nullptr) cap->on_spawn(task);
 
   const RegisterReceipt receipt =
-      ctx->domain().register_task(task, edge_sink_, trace_.get());
+      parent.domain().register_task(task, edge_sink_, trace_.get());
   stats_.on_dep_registration(receipt.shards_touched, receipt.contended);
 
   // Explicit handle edges (TaskBuilder::after), deduplicated: one edge
@@ -799,8 +803,10 @@ void Runtime::on_finished(const TaskPtr& t, int wid,
 
   // Child-count updates must happen after the graph bookkeeping so a
   // taskwait that observes zero children also observes the final graph.
-  t->parent_context()->live_children.fetch_sub(1, std::memory_order_acq_rel);
+  // pending_ drops first, so that taskwait also reads pending_tasks()
+  // without those children.
   pending_.fetch_sub(1, std::memory_order_acq_rel);
+  t->parent_context()->live_children.fetch_sub(1, std::memory_order_acq_rel);
 
   if (blocked_waiters_.load(std::memory_order_acquire) > 0) {
     std::lock_guard lock(cv_mu_);

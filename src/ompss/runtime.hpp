@@ -435,8 +435,11 @@ class Runtime {
   std::condition_variable collector_cv_;
   std::atomic<bool> collector_stop_{false};
 
-  std::atomic<std::size_t> pending_{0}; ///< spawned but not finished
-  std::atomic<bool> stop_{false};
+  /// Spawned but not finished: written by every spawn and every
+  /// retirement, so it sits alone on its line — in particular off the line
+  /// holding stop_, which every idle worker loads each loop.
+  alignas(64) std::atomic<std::size_t> pending_{0};
+  alignas(64) std::atomic<bool> stop_{false};
 
   std::size_t pinned_workers_ = 0; ///< workers OSS_PIN actually bound
   /// Worker 0 is the caller's thread: its pre-pin affinity mask and thread

@@ -33,7 +33,7 @@ StatsSnapshot Stats::snapshot() const {
   s.pool_misses = pool_misses_.load(std::memory_order_relaxed);
   s.per_worker_executed.reserve(per_worker_executed_.size());
   for (const auto& c : per_worker_executed_)
-    s.per_worker_executed.push_back(c.load(std::memory_order_relaxed));
+    s.per_worker_executed.push_back(c.c.load(std::memory_order_relaxed));
   return s;
 }
 

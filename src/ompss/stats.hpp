@@ -85,15 +85,13 @@ bool stats_footer_enabled();
 
 class Stats {
  public:
-  explicit Stats(std::size_t num_workers) : per_worker_executed_(num_workers) {
-    for (auto& c : per_worker_executed_) c.store(0, std::memory_order_relaxed);
-  }
+  explicit Stats(std::size_t num_workers) : per_worker_executed_(num_workers) {}
 
   void on_spawn() { inc(tasks_spawned_); }
   void on_execute(int worker) {
     inc(tasks_executed_);
     if (worker >= 0 && static_cast<std::size_t>(worker) < per_worker_executed_.size())
-      inc(per_worker_executed_[static_cast<std::size_t>(worker)]);
+      inc(per_worker_executed_[static_cast<std::size_t>(worker)].c);
   }
   void on_edge_raw() { inc(edges_raw_); }
   void on_edge_war() { inc(edges_war_); }
@@ -152,31 +150,48 @@ class Stats {
   using Counter = std::atomic<std::uint64_t>;
   static void inc(Counter& c) { c.fetch_add(1, std::memory_order_relaxed); }
 
-  Counter tasks_spawned_{0};
-  Counter tasks_executed_{0};
+  /// One counter alone on its cache line (per-worker slots).
+  struct alignas(64) PaddedCounter {
+    Counter c{0};
+  };
+
+  // Counters are grouped by the threads that write them, each group
+  // starting a fresh cache line, so a spawning thread never pays a line
+  // transfer for a counter an executing or idle worker bumped last
+  // (docs/scheduler.md, "Who writes which hot line").
+
+  // Spawner: spawn, dependency registration, replay submission, waits.
+  alignas(64) Counter tasks_spawned_{0};
+  Counter tasks_recycled_{0};
+  Counter pool_misses_{0};
+  Counter dep_single_shard_{0};
+  Counter dep_multi_shard_{0};
+  Counter dep_contended_{0};
   Counter edges_raw_{0};
   Counter edges_war_{0};
   Counter edges_waw_{0};
   Counter edges_explicit_{0};
-  Counter local_pops_{0};
-  Counter global_pops_{0};
-  Counter steals_{0};
-  Counter steals_failed_{0};
-  Counter steals_remote_{0};
-  Counter tasks_local_{0};
-  Counter tasks_remote_{0};
-  Counter parks_{0};
-  Counter wakeups_{0};
-  Counter dep_single_shard_{0};
-  Counter dep_multi_shard_{0};
-  Counter dep_contended_{0};
   Counter replayed_tasks_{0};
   Counter replay_graphs_{0};
   Counter taskwaits_{0};
   Counter barriers_{0};
-  Counter tasks_recycled_{0};
-  Counter pool_misses_{0};
-  std::vector<Counter> per_worker_executed_;
+
+  // Executors: every pick and every retirement.
+  alignas(64) Counter tasks_executed_{0};
+  Counter local_pops_{0};
+  Counter global_pops_{0};
+  Counter steals_{0};
+  Counter steals_remote_{0};
+  Counter tasks_local_{0};
+  Counter tasks_remote_{0};
+  std::vector<PaddedCounter> per_worker_executed_;
+
+  // Idle workers: every empty victim sweep and every park.
+  alignas(64) Counter steals_failed_{0};
+  Counter parks_{0};
+
+  // Wakers: spawners and finishers alike.
+  alignas(64) Counter wakeups_{0};
 };
 
 } // namespace oss

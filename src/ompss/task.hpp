@@ -175,7 +175,11 @@ class TaskContext {
   TaskContext& operator=(const TaskContext&) = delete;
 
   /// Direct children spawned into this context that have not yet finished.
-  std::atomic<std::size_t> live_children{0};
+  /// Incremented by the spawner and decremented by every retiring worker,
+  /// so it gets a cache line of its own: off the std::make_shared control
+  /// block (whose refcount sits just before the object) and off the
+  /// read-mostly fields below.
+  alignas(64) std::atomic<std::size_t> live_children{0};
 
   /// Dependency domain for sibling tasks of this context.  Internally
   /// sharded and locked; callers need no external synchronization.
@@ -198,7 +202,7 @@ class TaskContext {
   bool has_exception() const;
 
  private:
-  std::unique_ptr<DepDomain> domain_;
+  alignas(64) std::unique_ptr<DepDomain> domain_;
   std::size_t dep_shards_;
   bool pooled_;
   mutable std::mutex mu_;
@@ -470,7 +474,15 @@ class Task {
   /// the successor list.  Returns false when this task already retired (no
   /// edge needed — its effects are visible).  The consumer must still be
   /// guarded (unpublished) so the increment cannot race its readiness.
+  ///
+  /// A retired producer is rejected before `succ_mu_` is taken: `finished_`
+  /// only ever goes false→true, under that mutex, so an acquire read of
+  /// true is final and already orders the producer's effects before the
+  /// consumer (docs/dependencies.md).  Most producers a spawner meets have
+  /// retired, and their mutex line was last written by the worker that
+  /// retired them.
   bool add_successor_edge(const TaskPtr& consumer) {
+    if (finished()) return false;
     std::lock_guard lock(succ_mu_);
     if (finished()) return false;
     consumer->preds.fetch_add(1, std::memory_order_relaxed);

@@ -163,11 +163,14 @@ class TaskBuilder {
 
   /// Adds an explicit dependency edge: this task will not start before the
   /// task referenced by `h` finished, regardless of declared regions.
-  /// Empty and already-finished handles are no-ops; an unfinished handle of
-  /// a different runtime throws std::invalid_argument.
+  /// A finished handle adds no edge but still donates its home node to
+  /// chain inheritance, as a retired region producer does.  Empty handles
+  /// and finished handles of another runtime are no-ops; an unfinished
+  /// handle of a different runtime throws std::invalid_argument.
   TaskBuilder& after(const TaskHandle& h) {
-    if (!h.valid() || h.done()) return *this;
+    if (!h.valid()) return *this;
     if (h.runtime() != rt_) {
+      if (h.done()) return *this;
       throw std::invalid_argument(
           "oss::TaskBuilder::after: handle belongs to a different runtime");
     }

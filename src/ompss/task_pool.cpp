@@ -27,8 +27,6 @@ namespace oss::pool {
 
 namespace {
 
-std::atomic<std::uint64_t> g_recycled{0};
-std::atomic<std::uint64_t> g_misses{0};
 std::atomic<std::uint64_t> g_overflow{0};
 
 struct GlobalPool {
@@ -107,7 +105,6 @@ AcquireResult acquire() {
     Task* t = c.head;
     c.head = t->pool_next;
     --c.n;
-    g_recycled.fetch_add(1, std::memory_order_relaxed);
     return {t, true};
   }
   // Refill from the global list: take one for the caller plus a batch
@@ -127,12 +124,10 @@ AcquireResult acquire() {
         c.head = u;
         ++c.n;
       }
-      g_recycled.fetch_add(1, std::memory_order_relaxed);
       return {t, true};
     }
   }
   // True miss: allocate a fresh batch, return one, cache the rest.
-  g_misses.fetch_add(1, std::memory_order_relaxed);
   Task* first = new Task();
   first->mark_pooled();
   for (std::size_t i = 1; i < kSlabTasks; ++i) {
@@ -160,12 +155,6 @@ void recycle(Task* t) noexcept {
   }
 }
 
-std::uint64_t recycled_total() noexcept {
-  return g_recycled.load(std::memory_order_relaxed);
-}
-std::uint64_t miss_total() noexcept {
-  return g_misses.load(std::memory_order_relaxed);
-}
 std::uint64_t overflow_total() noexcept {
   return g_overflow.load(std::memory_order_relaxed);
 }

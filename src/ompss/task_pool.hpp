@@ -66,9 +66,10 @@ AcquireResult acquire();
 // Called from Task::release() on the retiring thread.
 void recycle(Task* t) noexcept;
 
-// Process-wide counters (monotonic; Runtime::stats() computes deltas).
-std::uint64_t recycled_total() noexcept;
-std::uint64_t miss_total() noexcept;
+// Process-wide overflow counter (monotonic; Runtime::stats() computes
+// deltas).  Hits and misses are counted per runtime (Stats) only: a
+// process-wide counter bumped on every spawn would put one more shared
+// line on the spawn path.
 std::uint64_t overflow_total() noexcept;
 
 // Test accessors.

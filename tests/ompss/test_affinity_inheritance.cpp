@@ -158,6 +158,12 @@ TEST(AffinityInheritanceVoting, ExplicitHandleEdgeDonatesOnlyAsFallback) {
   rt.taskwait();
   EXPECT_EQ(fallback.home_node(), 1) << "no region donors: handle edge wins";
 
+  // A handle that already finished adds no edge but still donates, like a
+  // retired region producer.
+  auto late = rt.task("late").after(hinted).spawn([] {});
+  rt.taskwait();
+  EXPECT_EQ(late.home_node(), 1) << "a retired handle still donates";
+
   auto writer = rt.task("writer").inout(slot).affinity(0).spawn([] {});
   auto hinted2 = rt.task("hinted2").affinity(1).spawn([] {});
   auto both = rt.task("both").inout(slot).after(hinted2).spawn([] {});

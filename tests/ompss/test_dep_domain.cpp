@@ -301,6 +301,29 @@ TEST_F(DepDomainTest, FinishedPredecessorsStillVote) {
   EXPECT_EQ(r->inherited_node(), 1);
 }
 
+TEST_F(DepDomainTest, RetiredProducerIsSkippedButStillVotes) {
+  // A retired producer is rejected before its successor lock: no edge, its
+  // successor list untouched.  It still votes, and here outweighs the live
+  // producer that does get the edge.
+  auto retired = make_task({oss::region(buf_, 64, Mode::Out)});
+  auto live = make_task({oss::region(buf_ + 64, 16, Mode::Out)});
+  retired->set_home_node(1);
+  live->set_home_node(0);
+  reg(retired);
+  reg(live);
+  auto earlier = make_task({oss::region(buf_, 8, Mode::In)});
+  ASSERT_EQ(reg(earlier).size(), 1u); // retired's successor while unfinished
+  retired->mark_finished();
+  auto r = make_task({oss::region(buf_, 80, Mode::In)});
+  const auto edges = reg(r);
+  ASSERT_EQ(edges.size(), 1u);
+  EXPECT_EQ(edges[0].from, live->id());
+  EXPECT_EQ(r->preds, 1);
+  ASSERT_EQ(retired->successors.size(), 1u);
+  EXPECT_EQ(retired->successors[0], earlier);
+  EXPECT_EQ(r->inherited_node(), 1) << "64 retired bytes beat 16 live ones";
+}
+
 TEST_F(DepDomainTest, RepeatOverlapsAccumulateVoteBytes) {
   // One producer overlapping through two entries outvotes a single larger
   // entry of another node when its *total* bytes are larger.

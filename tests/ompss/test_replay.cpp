@@ -668,6 +668,26 @@ TEST(Replay, OpgraphChecksumParityAndBypassAcrossVariants) {
   }
 }
 
+TEST(Replay, OpgraphDeclaresExactlyItsOperandColumns) {
+  // Op (l, j) reads columns j and neighbor(l, j) of layer l-1 and writes
+  // column j of layer l, n elements each.  On one thread nothing runs
+  // before the barrier, so every hazard inside an iteration becomes an
+  // edge: exactly two RAW edges per op of layers 1.., and no WAW or WAR
+  // (the previous iteration has retired at its barrier; layer 0 reads the
+  // input the controlling thread wrote).  An access declared wider than
+  // its column overlaps its neighbours and adds WAW/RAW edges.
+  const apps::OpGraphWorkload w =
+      apps::OpGraphWorkload::make(benchcore::Scale::Tiny);
+  oss::StatsSnapshot st{};
+  EXPECT_EQ(apps::opgraph_ompss(w, 1, &st), apps::opgraph_seq(w));
+  const auto expected_raw = static_cast<std::uint64_t>(w.iters) * 2 *
+                            static_cast<std::uint64_t>(w.width) *
+                            static_cast<std::uint64_t>(w.layers - 1);
+  EXPECT_EQ(st.edges_raw, expected_raw);
+  EXPECT_EQ(st.edges_waw, 0u);
+  EXPECT_EQ(st.edges_war, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Zero-allocation proof for the warmed replay loop
 // ---------------------------------------------------------------------------

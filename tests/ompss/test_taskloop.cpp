@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -37,12 +38,19 @@ TEST(Taskloop, EmptyRangeSpawnsNothing) {
 
 TEST(Taskloop, AccessBuilderChainsConsecutiveLoops) {
   // Loop 1 writes data[i] = i; loop 2 doubles it.  The per-chunk access
-  // declarations must chain chunk 2.k after chunk 1.k.
+  // declarations must chain chunk 2.k after chunk 1.k.  Edges are recorded
+  // only against unfinished producers, so loop 1's chunks are held at a
+  // gate until loop 2 is spawned: otherwise they may all retire first and
+  // the chaining would go unobserved.
   oss::Runtime rt(4);
   std::vector<long> data(512, -1);
+  std::atomic<bool> gate_open{false};
   oss::spawn_for(
       rt, 0, data.size(), 64,
       [&](std::size_t lo, std::size_t hi) {
+        while (!gate_open.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
         for (std::size_t i = lo; i < hi; ++i) data[i] = static_cast<long>(i);
       },
       [&](std::size_t lo, std::size_t hi) {
@@ -58,12 +66,15 @@ TEST(Taskloop, AccessBuilderChainsConsecutiveLoops) {
         return oss::AccessList{oss::inout(&data[lo], hi - lo)};
       },
       "double");
+  gate_open.store(true, std::memory_order_release);
   rt.taskwait();
   for (std::size_t i = 0; i < data.size(); ++i) {
     EXPECT_EQ(data[i], static_cast<long>(2 * i));
   }
-  // And the chaining must have produced dependency edges.
+  // And the chaining must have produced dependency edges: one WAW edge
+  // per chunk pair, nothing else (loop 1's chunks are disjoint).
   EXPECT_GT(rt.stats().edges_total(), 0u);
+  EXPECT_EQ(rt.stats().edges_total(), data.size() / 64);
 }
 
 TEST(Taskloop, LabelsAppearInGraph) {
