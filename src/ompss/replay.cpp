@@ -4,6 +4,8 @@
 // contract.
 #include "ompss/replay.hpp"
 
+#include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -69,6 +71,64 @@ void GraphCapture::on_edge(const TaskPtr& from, const TaskPtr& to,
   ++kind_counts_[static_cast<std::size_t>(kind)];
 }
 
+void GraphCapture::wire_reduced(ReplayGraph& g) const {
+  // Transitive reduction: an edge p→v is dropped when another path from p
+  // to v exists — it could never be the last predecessor v waits for, so
+  // wiring it only costs a successor-list entry and an atomic decrement.
+  // Reachability is unchanged, hence serial equivalence and the longest
+  // path too.  Capture order is topological (every edge runs from an
+  // earlier spawn to a later one), so task v's reduced predecessors can be
+  // chosen once every earlier task is reduced: walk v's distinct
+  // predecessors in descending index and keep p unless it is an ancestor
+  // of a predecessor already kept.  A predecessor can only be an ancestor
+  // of a later one, so the descending walk has checked every candidate
+  // before p.  Ancestors come from a backward DFS over the reduced lists,
+  // pruned below v's smallest predecessor (nothing lower can be one of
+  // them), with an epoch-stamped visited array: O(n) extra memory.
+  const std::size_t n = g.tasks_.size();
+  std::vector<std::uint32_t> pred_begin(n + 1, 0);
+  for (const ReplayGraph::EdgeRec& e : edges_) ++pred_begin[e.to + 1];
+  for (std::size_t i = 0; i < n; ++i) pred_begin[i + 1] += pred_begin[i];
+  std::vector<std::uint32_t> preds(edges_.size());
+  {
+    std::vector<std::uint32_t> fill(pred_begin.begin(), pred_begin.end() - 1);
+    for (const ReplayGraph::EdgeRec& e : edges_) preds[fill[e.to]++] = e.from;
+  }
+
+  // The reduced lists are appended in task order into g.pred_idx_.
+  std::vector<std::uint32_t>& red = g.pred_idx_;
+  red.reserve(n);
+  std::vector<std::uint32_t> seen(n, 0); // epoch stamps; epoch of v is v+1
+  std::vector<std::uint32_t> stack;
+  for (std::size_t v = 0; v < n; ++v) {
+    ReplayGraph::TaskRec& rec = g.tasks_[v];
+    rec.pred_begin = static_cast<std::uint32_t>(red.size());
+    const auto begin = preds.begin() + pred_begin[v];
+    const auto end = preds.begin() + pred_begin[v + 1];
+    std::sort(begin, end, std::greater<>());
+    const auto last = std::unique(begin, end);
+    const std::uint32_t floor = begin != last ? *(last - 1) : 0;
+    const std::uint32_t epoch = static_cast<std::uint32_t>(v) + 1;
+    for (auto it = begin; it != last; ++it) {
+      const std::uint32_t p = *it;
+      if (seen[p] == epoch) continue; // implied through a kept edge
+      red.push_back(p);
+      stack.push_back(p);
+      while (!stack.empty()) {
+        const ReplayGraph::TaskRec& u = g.tasks_[stack.back()];
+        stack.pop_back();
+        for (std::uint32_t k = u.pred_begin; k < u.pred_end; ++k) {
+          const std::uint32_t a = red[k];
+          if (a < floor || seen[a] == epoch) continue;
+          seen[a] = epoch;
+          stack.push_back(a);
+        }
+      }
+    }
+    rec.pred_end = static_cast<std::uint32_t>(red.size());
+  }
+}
+
 ReplayGraph GraphCapture::finish() {
   if (finished_) {
     throw std::logic_error("oss::GraphCapture::finish: already finished");
@@ -91,23 +151,11 @@ ReplayGraph GraphCapture::finish() {
     rec.lock_end = static_cast<std::uint32_t>(g.locks_.size());
   }
 
-  // Predecessor counts are the in-degree over the *captured* edges — not a
-  // read of the live atomics, so the frozen structure is internally
-  // consistent by construction.  Successor lists are a counting sort of the
-  // same edges into one CSR array.
+  // pred_count() is the in-degree over the *captured* edges — not a read
+  // of the live atomics, so the frozen structure is internally consistent
+  // by construction.  What replay wires is their transitive reduction.
   for (const ReplayGraph::EdgeRec& e : edges_) ++g.tasks_[e.to].preds;
-  std::vector<std::uint32_t> deg(n, 0);
-  for (const ReplayGraph::EdgeRec& e : edges_) ++deg[e.from];
-  std::uint32_t off = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    g.tasks_[i].succ_begin = off;
-    g.tasks_[i].succ_end = off; // fill cursor, bumped below
-    off += deg[i];
-  }
-  g.succ_idx_.resize(edges_.size());
-  for (const ReplayGraph::EdgeRec& e : edges_) {
-    g.succ_idx_[g.tasks_[e.from].succ_end++] = e.to;
-  }
+  wire_reduced(g);
 
   g.edges_ = std::move(edges_);
   for (std::size_t k = 0; k < 4; ++k) g.kind_counts_[k] = kind_counts_[k];
@@ -236,7 +284,8 @@ void Runtime::replay(const ReplayGraph& graph,
   // Phase 1: create every task, pre-wired from the frozen structure — no
   // DepDomain shard is ever visited (no interval-map lookup, no shard lock,
   // no register_task): predecessor counts are stored directly and successor
-  // lists are array-copied below.  Nothing is published yet, so plain
+  // lists are filled below from the wired predecessor lists.  Nothing is
+  // published yet, so plain
   // writes to `successors` (no succ_mu_, no per-edge preds increments) are
   // legal: the queue handshake (roots) or the preds release sequence
   // (interior tasks) orders them for the executing worker.
@@ -270,19 +319,18 @@ void Runtime::replay(const ReplayGraph& graph,
     if (rec.home_node >= 0 && !topo_.single_node()) {
       task->set_home_node(rec.home_node, rec.home_soft);
     }
-    // Captured in-degree plus the usual spawn guard, held until phase 2 so
+    // Wired in-degree plus the usual spawn guard, held until phase 2 so
     // no task can become ready while its successor list is still being
     // wired.
-    task->preds.store(1 + static_cast<int>(rec.preds),
+    task->preds.store(1 + static_cast<int>(rec.pred_end - rec.pred_begin),
                       std::memory_order_relaxed);
     created.push_back(std::move(task));
   }
 
   for (std::size_t i = 0; i < n; ++i) {
     const ReplayGraph::TaskRec& rec = graph.tasks_[i];
-    Task* const t = created[i].get();
-    for (std::uint32_t k = rec.succ_begin; k < rec.succ_end; ++k) {
-      t->successors.push_back(created[graph.succ_idx_[k]]);
+    for (std::uint32_t k = rec.pred_begin; k < rec.pred_end; ++k) {
+      created[graph.pred_idx_[k]]->successors.push_back(created[i]);
     }
   }
 

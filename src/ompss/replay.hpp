@@ -20,8 +20,8 @@
 // is still live when its consumers register, which makes the discovered
 // edge multiset the full structural graph, deterministic on any machine and
 // thread count.  `finish()` freezes the structure into a ReplayGraph (flat
-// task table + CSR successor lists) and releases the held iteration through
-// the normal readiness path.
+// task table + CSR lists of the transitively reduced edges) and releases
+// the held iteration through the normal readiness path.
 //
 // Replay semantics: `Runtime::replay(g, binder)` re-submits the whole graph
 // without touching any dependency shard — tasks come from the pool with
@@ -44,6 +44,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -58,7 +59,8 @@ class GraphCapture;
 
 /// Immutable memoized iteration structure: a flat task table (label,
 /// interned trace label, priority, resolved home node, predecessor count)
-/// plus CSR successor lists and the captured edge multiset.  Produced by
+/// plus the captured edge multiset and, as CSR predecessor lists, its
+/// transitive reduction — the edges a replay actually wires.  Produced by
 /// GraphCapture::finish(), consumed by Runtime::replay().  Cheap to move,
 /// expensive to copy (copying is allowed — e.g. to replay the same shape
 /// against disjoint buffer sets from several threads).
@@ -75,6 +77,21 @@ class ReplayGraph {
   /// Number of captured dependency edges (all hazard kinds).
   [[nodiscard]] std::size_t edge_count() const noexcept {
     return edges_.size();
+  }
+
+  /// Number of edges a replay wires: the captured edges minus duplicates
+  /// and every edge another path already implies (the transitive
+  /// reduction, docs/replay.md).  At most edge_count().
+  [[nodiscard]] std::size_t wired_edge_count() const noexcept {
+    return pred_idx_.size();
+  }
+
+  /// Predecessor indices replay wires for task `i` (its reduced in-edges),
+  /// in descending order.
+  [[nodiscard]] std::span<const std::uint32_t> wired_predecessors(
+      std::size_t i) const {
+    return {pred_idx_.data() + tasks_[i].pred_begin,
+            pred_idx_.data() + tasks_[i].pred_end};
   }
 
   /// Label of task `i` in capture (= replay) order.
@@ -116,8 +133,8 @@ class ReplayGraph {
     int home_node = -1;            ///< resolved NUMA home (-1 = none)
     bool home_soft = false;
     std::uint32_t preds = 0;       ///< in-degree over captured edges
-    std::uint32_t succ_begin = 0;  ///< CSR range into succ_idx_
-    std::uint32_t succ_end = 0;
+    std::uint32_t pred_begin = 0;  ///< CSR range into pred_idx_ (wired)
+    std::uint32_t pred_end = 0;
     std::uint32_t lock_begin = 0;  ///< CSR range into locks_
     std::uint32_t lock_end = 0;
   };
@@ -128,7 +145,7 @@ class ReplayGraph {
   };
 
   std::vector<TaskRec> tasks_;          ///< capture order
-  std::vector<std::uint32_t> succ_idx_; ///< CSR successor task indices
+  std::vector<std::uint32_t> pred_idx_; ///< CSR reduced predecessor indices
   std::vector<EdgeRec> edges_;          ///< discovery order
   /// Commutative-region exclusion locks carried over from capture, so a
   /// replayed commutative group keeps its mutual exclusion without any
@@ -180,6 +197,10 @@ class GraphCapture {
   // part of the capture.
   void on_spawn(const TaskPtr& t);
   void on_edge(const TaskPtr& from, const TaskPtr& to, DepKind kind);
+
+  /// Builds g's wired structure, the reduced predecessor CSR, from the
+  /// captured edges (finish()).
+  void wire_reduced(ReplayGraph& g) const;
 
   Runtime& rt_;
   bool finished_ = false;

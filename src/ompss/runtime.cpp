@@ -614,9 +614,14 @@ TaskHandle Runtime::spawn_task(TaskSpec spec, Task::Fn fn) {
     // OmpSs if(0): the spawning thread waits for the dependencies itself
     // (helping with other work meanwhile) and runs the body inline.
     // on_finished() marks undeferred tasks Ready without enqueueing them.
+    // Successors kept by the tasks run here are published, not run: the
+    // spawner returns to its own code as soon as its task is done.
     std::size_t idle_rounds = 0;
     while (task->state() != TaskState::Ready) {
-      if (try_execute_one(spawner)) {
+      if (TaskPtr t = scheduler_->pick(spawner, stats_)) {
+        if (TaskPtr kept = execute(t, spawner)) {
+          hand_back(std::move(kept), spawner);
+        }
         idle_rounds = 0;
         continue;
       }
@@ -625,7 +630,9 @@ TaskHandle Runtime::spawn_task(TaskSpec spec, Task::Fn fn) {
         idle_rounds = 0;
       }
     }
-    execute(task, spawner);
+    if (TaskPtr kept = execute(task, spawner)) {
+      hand_back(std::move(kept), spawner);
+    }
     return TaskHandle(this, std::move(task));
   }
 
@@ -650,7 +657,7 @@ TaskHandle Runtime::spawn_task(TaskSpec spec, Task::Fn fn) {
 // Execution
 // ---------------------------------------------------------------------------
 
-void Runtime::execute(const TaskPtr& t, int wid) {
+TaskPtr Runtime::execute(const TaskPtr& t, int wid) {
   t->set_state(TaskState::Running);
   Task* const prev_task = tl_binding.current_task;
   Runtime* const prev_rt = tl_binding.rt;
@@ -706,11 +713,11 @@ void Runtime::execute(const TaskPtr& t, int wid) {
 
   tl_binding = ThreadBinding{prev_rt, prev_wid, prev_task};
   stats_.on_execute(wid);
-  on_finished(t, wid, exec_ticks);
+  return on_finished(t, wid, exec_ticks);
 }
 
-void Runtime::on_finished(const TaskPtr& t, int wid,
-                          std::uint64_t exec_ticks) {
+TaskPtr Runtime::on_finished(const TaskPtr& t, int wid,
+                             std::uint64_t exec_ticks) {
   // Retirement takes only the finished task's own successor lock — no
   // dependency-shard lock is ever re-entered here, so a finish never
   // serializes against in-flight registrations of unrelated regions.
@@ -742,6 +749,10 @@ void Runtime::on_finished(const TaskPtr& t, int wid,
 
   ScratchTaskVec ready_scratch;
   std::vector<TaskPtr>& newly_ready = ready_scratch.get();
+  // Successor hand-off: the first released task the scheduler lets this
+  // worker keep is returned to the caller's loop and run next — no queue
+  // push, no wakeup, no thief racing the finisher for the deque lines.
+  TaskPtr kept;
   std::uint64_t ready_now = 0; // one clock read shared by the whole burst
   for (TaskPtr& s : succs) {
     // The offer must precede the decrement: the successor reads its pred
@@ -761,7 +772,12 @@ void Runtime::on_finished(const TaskPtr& t, int wid,
       if (trace_) trace_->emit_ready(s->id());
       // Undeferred tasks are claimed by their (polling) spawner and must
       // not be enqueued; the Ready state transition is their signal.
-      if (!s->undeferred()) newly_ready.push_back(std::move(s));
+      if (s->undeferred()) continue;
+      if (!kept && scheduler_->keep_unblocked(s, wid)) {
+        kept = std::move(s);
+      } else {
+        newly_ready.push_back(std::move(s));
+      }
     }
   }
 
@@ -772,8 +788,7 @@ void Runtime::on_finished(const TaskPtr& t, int wid,
   // the data (node-aware wakeup); tasks without a home count towards the
   // finisher's node.  The single-gate (single-node) case skips the
   // bucketing entirely — this path runs once per task completion and must
-  // not allocate.  The finisher itself continues with at most one of the
-  // tasks; every additional one can feed a woken thief.
+  // not allocate.  The kept task is in no queue, so it wakes nobody.
   const std::size_t gates = idle_gates_.size();
   if (gates == 1) {
     for (TaskPtr& s : newly_ready) {
@@ -812,13 +827,20 @@ void Runtime::on_finished(const TaskPtr& t, int wid,
     std::lock_guard lock(cv_mu_);
     cv_.notify_all();
   }
+  return kept;
 }
 
-bool Runtime::try_execute_one(int wid) {
-  TaskPtr t = scheduler_->pick(wid, stats_);
-  if (!t) return false;
-  execute(t, wid);
-  return true;
+TaskPtr Runtime::next_task(TaskPtr& held, int wid) {
+  if (!held) return scheduler_->pick(wid, stats_);
+  scheduler_->account_kept(held, wid, stats_);
+  return std::move(held);
+}
+
+void Runtime::hand_back(TaskPtr t, int wid) {
+  const int wake_node =
+      t->home_node() >= 0 ? t->home_node() : scheduler_->worker_node(wid);
+  scheduler_->enqueue_unblocked(std::move(t), wid);
+  wake_one_worker(wake_node);
 }
 
 void Runtime::worker_loop(int wid) {
@@ -830,8 +852,11 @@ void Runtime::worker_loop(int wid) {
   // bump this gate first, so the worker that wakes is one whose socket
   // already holds the task's data.
   EventCount& gate = *idle_gates_[gate_index(wid)];
-  while (!stop_.load(std::memory_order_acquire)) {
-    if (try_execute_one(wid)) {
+  // A chain of kept successors runs link after link through `held`.
+  TaskPtr held;
+  while (held || !stop_.load(std::memory_order_acquire)) {
+    if (TaskPtr t = next_task(held, wid)) {
+      held = execute(t, wid);
       idle_rounds = 0;
       sleep_us = 20;
       continue;
@@ -941,10 +966,16 @@ void Runtime::wait_until(const std::function<bool()>& done) {
     return;
   }
 
-  // Polling wait: help execute tasks until the predicate holds.
+  // Polling wait: help execute tasks until the predicate holds.  The
+  // predicate is re-checked between the links of a kept chain, so a nested
+  // taskwait returns once its children finish even while an unrelated
+  // chain keeps handing this thread successors; the link it holds then is
+  // published for another worker.
+  TaskPtr held;
   std::size_t idle_rounds = 0;
   while (!done()) {
-    if (try_execute_one(wid)) {
+    if (TaskPtr t = next_task(held, wid)) {
+      held = execute(t, wid);
       idle_rounds = 0;
       continue;
     }
@@ -953,6 +984,7 @@ void Runtime::wait_until(const std::function<bool()>& done) {
       idle_rounds = 0;
     }
   }
+  if (held) hand_back(std::move(held), wid);
 }
 
 void Runtime::taskwait() { taskwait_scope(current_spawn_context()); }

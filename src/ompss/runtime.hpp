@@ -319,12 +319,24 @@ class Runtime {
   /// is final when construction returns).
   void apply_pinning();
   void collector_loop();
-  bool try_execute_one(int wid);
-  void execute(const TaskPtr& t, int wid);
+  /// The next task for worker `wid`: `held` (the successor its last
+  /// retirement kept, accounted as a local pop) if set, else a scheduler
+  /// pick.  Null when there is no work.
+  TaskPtr next_task(TaskPtr& held, int wid);
+  /// Runs `t` and retires it.  Returns the successor the retirement kept
+  /// for this thread to run next (Scheduler::keep_unblocked), or null.
+  /// Callers loop over the returned chain; a caller that stops early must
+  /// pass the kept task to hand_back().
+  [[nodiscard]] TaskPtr execute(const TaskPtr& t, int wid);
   /// `exec_ticks` is the task body's raw-tick duration (0 when neither
   /// profiling nor graph recording needs it) — it extends the critical
-  /// path the finished task hands to its successors.
-  void on_finished(const TaskPtr& t, int wid, std::uint64_t exec_ticks);
+  /// path the finished task hands to its successors.  Returns the kept
+  /// successor, as execute().
+  [[nodiscard]] TaskPtr on_finished(const TaskPtr& t, int wid,
+                                    std::uint64_t exec_ticks);
+  /// Publishes a kept task this thread will not run after all: enqueued
+  /// as an unblocked task of `wid`, plus one wakeup.
+  void hand_back(TaskPtr t, int wid);
   ContextPtr current_spawn_context();
 
   /// Wakes one parked worker after a task was enqueued.  `preferred_node`

@@ -4,7 +4,10 @@
 // dependent tasks on the same core": when task B becomes ready because task A
 // (its producer) finished on worker W, B is pushed to the hot end of W's
 // local deque so W executes it back-to-back with A while A's output is still
-// in cache.  Three policies implement that idea plus two reference points:
+// in cache.  The runtime goes one step further for one such task per
+// retirement: when keep_unblocked() allows it, W keeps B and runs it next
+// without the deque round trip (the successor hand-off, docs/scheduler.md).
+// Three policies implement that idea plus two reference points:
 //
 //   Fifo          — one sharded global FIFO; placement-oblivious baseline.
 //   Locality      — unblocked tasks go to the finishing worker's local LIFO;
@@ -88,6 +91,19 @@ class Scheduler {
   /// `finisher_worker` (-1 if the finisher is not a worker).  Same owner
   /// discipline as enqueue_spawned.
   virtual void enqueue_unblocked(TaskPtr t, int finisher_worker) = 0;
+
+  /// Successor hand-off (docs/scheduler.md): true when the finisher should
+  /// keep `t`, a task its retirement just made ready, and run it next
+  /// itself instead of enqueueing it — never published, never woken for.
+  /// The runtime keeps at most one task per retirement and enqueues the
+  /// rest through enqueue_unblocked.  Fifo never keeps.
+  [[nodiscard]] virtual bool keep_unblocked(const TaskPtr& t,
+                                            int finisher_worker) const = 0;
+
+  /// Called as the keeper starts a kept task: records the local pop and
+  /// the Local placement its deque round trip would have recorded, so the
+  /// accounting is the same whether a task was kept or enqueued.
+  virtual void account_kept(const TaskPtr& t, int worker, Stats& stats) = 0;
 
   /// Takes the next task for `worker` (-1 for non-worker threads helping
   /// out): priority queue, then local deque, then global, then steal.

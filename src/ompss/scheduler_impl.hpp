@@ -49,6 +49,24 @@ class SchedulerBase : public Scheduler {
   }
   [[nodiscard]] std::size_t parked_on_node(int node) const noexcept override;
 
+  /// The hand-off rule of the locality policies (Fifo overrides it to
+  /// never keep): keep exactly what enqueue_unblocked would push to the
+  /// finisher's own deque (a worker finisher on the task's home node, no
+  /// priority), and only while no priority task waits — a queued priority
+  /// task must run before the next link, as it would if the link had gone
+  /// through the deque.
+  [[nodiscard]] bool keep_unblocked(const TaskPtr& t,
+                                    int finisher_worker) const override {
+    return is_worker(finisher_worker) && t->priority() <= 0 &&
+           node_matches(finisher_worker, t) && global_hi_.empty();
+  }
+
+  void account_kept(const TaskPtr& t, int worker, Stats& stats) override {
+    stats.on_local_pop();
+    trace_place(t->id(), PlaceTier::Local);
+    account_pick(worker, t, stats);
+  }
+
  protected:
   /// Per-worker state, padded so neighbouring workers never share a line
   /// and node-bound so the hot deque words live on the owner's socket.
@@ -243,6 +261,10 @@ class FifoScheduler final : public SchedulerBase {
                       numa, pressure) {}
   void enqueue_spawned(TaskPtr t, int spawner_worker) override;
   void enqueue_unblocked(TaskPtr t, int finisher_worker) override;
+  [[nodiscard]] bool keep_unblocked(const TaskPtr& /*t*/,
+                                    int /*finisher_worker*/) const override {
+    return false;
+  }
   TaskPtr pick(int worker, Stats& stats) override;
 };
 

@@ -20,9 +20,11 @@ VideoFrame synth_source_frame(int t, int width, int height) {
         v = 230 - ((dx * dx + dy * dy) * 80 / r2); // shaded disc
       } else if (y > height * 3 / 4) {
         // Texture band: deterministic hash noise (hard to predict → big
-        // residuals, like film grain).
-        std::uint32_t h = static_cast<std::uint32_t>(x * 374761393 +
-                                                     y * 668265263 + t * 2654435761u);
+        // residuals, like film grain).  Unsigned arithmetic: the products
+        // wrap by design, and signed int overflow would be undefined.
+        std::uint32_t h = static_cast<std::uint32_t>(x) * 374761393u +
+                          static_cast<std::uint32_t>(y) * 668265263u +
+                          static_cast<std::uint32_t>(t) * 2654435761u;
         h ^= h >> 13;
         h *= 1274126177u;
         v = (v + static_cast<int>(h & 63u)) & 0xFF;

@@ -9,6 +9,9 @@
 //     concurrent replay of disjoint graphs, capture-scope contract errors
 //   * observability parity — replayed tasks still emit Spawn/Ready/RunSpan
 //     trace events and profile rows while performing zero label interning
+//   * the wired structure — the transitive reduction keeps reachability
+//     and serial results on random programs, and wires one edge per link
+//     of the over-declared opgraph chain
 //   * the zero-allocation proof for the warmed replay loop (same operator
 //     new interposer as test_task_pool.cpp; compiled out under sanitizers)
 #include "ompss/ompss.hpp"
@@ -22,6 +25,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -686,6 +690,211 @@ TEST(Replay, OpgraphDeclaresExactlyItsOperandColumns) {
   EXPECT_EQ(st.edges_raw, expected_raw);
   EXPECT_EQ(st.edges_waw, 0u);
   EXPECT_EQ(st.edges_war, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Wired structure: the transitive reduction of the captured edges
+// ---------------------------------------------------------------------------
+
+/// Reachability closure of a DAG whose edges run from lower to higher
+/// index: reach[u][v] is true when a non-empty path u→v exists.
+using Reach = std::vector<std::vector<bool>>;
+Reach closure(std::size_t n,
+              const std::vector<std::pair<std::uint32_t, std::uint32_t>>& es) {
+  std::vector<std::vector<std::uint32_t>> succ(n);
+  for (const auto& [from, to] : es) succ[from].push_back(to);
+  Reach reach(n, std::vector<bool>(n, false));
+  for (std::size_t u = n; u-- > 0;) {
+    for (const std::uint32_t v : succ[u]) {
+      reach[u][v] = true;
+      for (std::size_t w = 0; w < n; ++w) {
+        if (reach[v][w]) reach[u][w] = true;
+      }
+    }
+  }
+  return reach;
+}
+
+/// One task of a random program: up to three accesses over distinct
+/// variables plus an optional explicit edge to an earlier task.
+struct RandomTask {
+  std::vector<std::pair<int, char>> ops; ///< (variable, i/o/x/c)
+  int after = -1;
+};
+
+std::vector<RandomTask> random_program(std::uint64_t seed, int tasks,
+                                       int vars) {
+  std::mt19937_64 rng(seed);
+  std::vector<RandomTask> prog(static_cast<std::size_t>(tasks));
+  for (int i = 0; i < tasks; ++i) {
+    RandomTask& t = prog[static_cast<std::size_t>(i)];
+    const int n = 1 + static_cast<int>(rng() % 3);
+    for (int k = 0; k < n; ++k) {
+      const int v = static_cast<int>(rng() % static_cast<std::uint64_t>(vars));
+      bool dup = false;
+      for (const auto& op : t.ops) dup = dup || op.first == v;
+      if (dup) continue;
+      t.ops.emplace_back(v, "ioxc"[rng() % 4]);
+    }
+    if (i > 0 && rng() % 5 == 0) {
+      t.after = static_cast<int>(rng() % static_cast<std::uint64_t>(i));
+    }
+  }
+  return prog;
+}
+
+/// Task `i`'s body in iteration `it`: reads its in/inout variables, then
+/// writes its out/inout ones and adds into its commutative ones (addition
+/// commutes, so any order of a commutative group gives the serial result).
+void run_random_task(const RandomTask& t, std::size_t i, std::uint64_t it,
+                     std::uint64_t* v) {
+  std::uint64_t acc = (i + 1) * 0x9e3779b97f4a7c15ull + it;
+  for (const auto& [var, mode] : t.ops) {
+    if (mode == 'i' || mode == 'x') acc = acc * 31 + v[var];
+  }
+  for (const auto& [var, mode] : t.ops) {
+    if (mode == 'o') v[var] = acc ^ static_cast<std::uint64_t>(var + 1);
+    if (mode == 'x') v[var] = v[var] * 3 + acc;
+    if (mode == 'c') v[var] += acc;
+  }
+}
+
+TEST(ReplayReduction, RandomProgramsKeepReachabilityAndSerialResults) {
+  constexpr int kTasks = 48;
+  constexpr int kVars = 6;
+  constexpr std::uint64_t kReplays = 6;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const std::vector<RandomTask> prog = random_program(seed, kTasks, kVars);
+    std::array<std::uint64_t, kVars> v{};
+    std::uint64_t iter = 0;
+    const auto body = [&](std::size_t i) -> oss::Task::Fn {
+      return [&prog, &v, i, it = iter] {
+        run_random_task(prog[i], i, it, v.data());
+      };
+    };
+
+    Runtime rt(oss_test::env_config(4));
+    ReplayGraph g;
+    {
+      GraphCapture cap(rt);
+      std::vector<oss::TaskHandle> handles;
+      for (std::size_t i = 0; i < prog.size(); ++i) {
+        oss::TaskBuilder b = rt.task("t");
+        for (const auto& [var, mode] : prog[i].ops) {
+          std::uint64_t& x = v[static_cast<std::size_t>(var)];
+          if (mode == 'i') b.in(x);
+          if (mode == 'o') b.out(x);
+          if (mode == 'x') b.inout(x);
+          if (mode == 'c') b.commutative(x);
+        }
+        if (prog[i].after >= 0) {
+          b.after(handles[static_cast<std::size_t>(prog[i].after)]);
+        }
+        handles.push_back(b.spawn(body(i)));
+      }
+      g = cap.finish();
+    }
+    rt.taskwait();
+
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> captured, wired;
+    for (const ReplayGraph::Edge& e : g.edges()) {
+      ASSERT_LT(e.from, e.to); // capture order is topological
+      captured.emplace_back(e.from, e.to);
+    }
+    std::size_t captured_preds = 0;
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      for (const std::uint32_t p : g.wired_predecessors(i)) {
+        wired.emplace_back(p, static_cast<std::uint32_t>(i));
+      }
+      captured_preds += g.pred_count(i);
+    }
+    EXPECT_EQ(wired.size(), g.wired_edge_count());
+    EXPECT_LE(g.wired_edge_count(), g.edge_count());
+    EXPECT_EQ(captured_preds, g.edge_count()); // pred_count stays captured
+    EXPECT_EQ(closure(g.size(), wired), closure(g.size(), captured));
+    // Minimal: no wired edge is implied by the remaining wired edges.
+    const Reach wired_reach = closure(g.size(), wired);
+    for (const auto& [from, to] : wired) {
+      bool implied = false;
+      for (const auto& [f2, mid] : wired) {
+        if (f2 == from && mid != to && wired_reach[mid][to]) implied = true;
+      }
+      EXPECT_FALSE(implied) << from << "->" << to;
+    }
+
+    for (iter = 1; iter <= kReplays; ++iter) {
+      rt.replay(g, body);
+      rt.taskwait();
+    }
+    std::array<std::uint64_t, kVars> ref{};
+    for (std::uint64_t it = 0; it <= kReplays; ++it) {
+      for (std::size_t i = 0; i < prog.size(); ++i) {
+        run_random_task(prog[i], i, it, ref.data());
+      }
+    }
+    EXPECT_EQ(v, ref);
+  }
+}
+
+/// Captures the opgraph shape (48 columns x 42 layers, op (l, j) reading
+/// columns j and (j + 1 + l % 3) % 48 of layer l-1 and writing column j of
+/// layer l, 32 uint64 per column) with every access declared `elems`
+/// elements long.  Nothing runs before finish(), so all edges are seen.
+ReplayGraph capture_opgraph_shape(std::size_t elems) {
+  constexpr int kWidth = 48;
+  constexpr int kLayers = 42;
+  constexpr std::size_t kCol = 32;
+  constexpr std::size_t kRow = kWidth * kCol;
+  // Padded so every over-long declaration stays inside its own buffer.
+  std::vector<std::uint64_t> input(kRow + elems);
+  std::vector<std::uint64_t> layers(kRow * kLayers + elems);
+  Runtime rt(oss_test::env_config(1));
+  GraphCapture cap(rt);
+  for (int l = 0; l < kLayers; ++l) {
+    const std::uint64_t* src =
+        l == 0 ? input.data()
+               : layers.data() + static_cast<std::size_t>(l - 1) * kRow;
+    for (int j = 0; j < kWidth; ++j) {
+      const int nb = (j + 1 + l % 3) % kWidth;
+      rt.task("op")
+          .in(src + static_cast<std::size_t>(j) * kCol, elems)
+          .in(src + static_cast<std::size_t>(nb) * kCol, elems)
+          .out(layers.data() + static_cast<std::size_t>(l) * kRow +
+                   static_cast<std::size_t>(j) * kCol,
+               elems)
+          .spawn([] {});
+    }
+  }
+  ReplayGraph g = cap.finish();
+  rt.taskwait();
+  return g;
+}
+
+TEST(ReplayReduction, OverlongDeclarationsChainAndWireOneEdgePerLink) {
+  // 256 elements per access = 8 columns: every op overlaps the next seven
+  // ops' outputs, and the row's last ops overlap the next layer's first,
+  // so the iteration is one 2016-task chain.  The reduction wires just its
+  // links.
+  const ReplayGraph g = capture_opgraph_shape(256);
+  ASSERT_EQ(g.size(), 2016u);
+  EXPECT_EQ(g.edge_count(), 22212u);
+  EXPECT_EQ(g.wired_edge_count(), 2015u);
+  EXPECT_TRUE(g.wired_predecessors(0).empty());
+  for (std::size_t i = 1; i < g.size(); ++i) {
+    const auto preds = g.wired_predecessors(i);
+    ASSERT_EQ(preds.size(), 1u) << i;
+    EXPECT_EQ(preds[0], i - 1);
+  }
+}
+
+TEST(ReplayReduction, ColumnDeclarationsWireEveryCapturedEdge) {
+  // Declared at their real 32 elements, ops of one layer never overlap:
+  // each op of layers 1.. has two distinct producers in the layer before,
+  // neither reachable from the other, so nothing is redundant.
+  const ReplayGraph g = capture_opgraph_shape(32);
+  EXPECT_EQ(g.edge_count(), 3936u);
+  EXPECT_EQ(g.wired_edge_count(), 3936u);
 }
 
 // ---------------------------------------------------------------------------
