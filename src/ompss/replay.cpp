@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "ompss/runtime.hpp"
@@ -156,6 +157,7 @@ ReplayGraph GraphCapture::finish() {
   // by construction.  What replay wires is their transitive reduction.
   for (const ReplayGraph::EdgeRec& e : edges_) ++g.tasks_[e.to].preds;
   wire_reduced(g);
+  for (const std::uint32_t p : g.pred_idx_) ++g.tasks_[p].succ_count;
 
   g.edges_ = std::move(edges_);
   for (std::size_t k = 0; k < 4; ++k) g.kind_counts_[k] = kind_counts_[k];
@@ -280,93 +282,137 @@ void Runtime::replay(const ReplayGraph& graph,
   created.clear();
   ready.clear();
   created.reserve(n);
+  ready.reserve(n);
 
   // Phase 1: create every task, pre-wired from the frozen structure — no
   // DepDomain shard is ever visited (no interval-map lookup, no shard lock,
-  // no register_task): predecessor counts are stored directly and successor
-  // lists are filled below from the wired predecessor lists.  Nothing is
-  // published yet, so plain
-  // writes to `successors` (no succ_mu_, no per-edge preds increments) are
-  // legal: the queue handshake (roots) or the preds release sequence
-  // (interior tasks) orders them for the executing worker.
-  for (std::size_t i = 0; i < n; ++i) {
-    const ReplayGraph::TaskRec& rec = graph.tasks_[i];
-    const std::uint64_t id =
-        next_task_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-    Task::Fn fn = binder(i);
-    TaskPtr task;
-    if (cfg_.pool) {
-      const pool::AcquireResult a = pool::acquire();
-      stats_.on_pool_acquire(a.recycled);
-      a.task->prepare(id, std::move(fn), root_ctx_, rec.label);
-      task = TaskPtr::adopt(a.task);
-    } else {
-      task = TaskPtr::adopt(
-          new Task(id, std::move(fn), AccessList{}, root_ctx_, rec.label));
+  // no register_task).  The per-task shared counters are paid once per
+  // replay: n ids reserved in one add, n children and n pending tasks
+  // added before the first task exists, pool hits added after the loop.
+  //
+  // Each task's `preds` is stored as its wired in-degree, with no spawn
+  // guard, and successor lists are filled with plain writes (no succ_mu_).
+  // That is safe because nothing is published before phase 2: every task
+  // an executor can reach lies downstream of a root, every root reaches an
+  // executor through publish_ready_batch's queue push (a release the
+  // popping worker acquires) or is run by this thread, and the finishers'
+  // acq_rel decrements carry that order down each chain.  So every
+  // phase-1 write happens-before any execution.
+  const int worker = (Runtime::current() == this) ? Runtime::current_worker()
+                                                  : -1;
+  const std::uint64_t first_id =
+      next_task_id_.fetch_add(n, std::memory_order_relaxed) + 1;
+  root_ctx_->live_children.fetch_add(n, std::memory_order_acq_rel);
+  pending_.fetch_add(n, std::memory_order_acq_rel);
+  std::uint64_t recycled = 0;
+  try {
+    // Everything that can throw (the binder, the pool or the allocator)
+    // happens in this loop, before any task holds a reference to another.
+    for (std::size_t i = 0; i < n; ++i) {
+      const ReplayGraph::TaskRec& rec = graph.tasks_[i];
+      Task::Fn fn = binder(i);
+      std::string label = rec.label; // copied first: prepare cannot throw
+      TaskPtr task;
+      if (cfg_.pool) {
+        const pool::AcquireResult a = pool::acquire();
+        recycled += a.recycled ? 1 : 0;
+        a.task->prepare(first_id + i, std::move(fn), root_ctx_,
+                        std::move(label));
+        task = TaskPtr::adopt(a.task);
+      } else {
+        task = TaskPtr::adopt(new Task(first_id + i, std::move(fn),
+                                       AccessList{}, root_ctx_,
+                                       std::move(label)));
+      }
+      task->set_priority(rec.priority);
+      // The interned label hash travels with the graph: a warmed replay
+      // loop performs zero TraceSystem/ProfSystem::intern calls
+      // (test_replay.cpp asserts this through the intern_calls counters).
+      task->set_trace_label(rec.trace_label);
+      if (prof_) task->set_spawn_ts(ProfSystem::clock());
+      for (std::uint32_t k = rec.lock_begin; k < rec.lock_end; ++k) {
+        task->add_exclusion_lock(graph.locks_[k]);
+      }
+      if (rec.home_node >= 0 && !topo_.single_node()) {
+        task->set_home_node(rec.home_node, rec.home_soft);
+      }
+      task->preds.store(static_cast<int>(rec.pred_end - rec.pred_begin),
+                        std::memory_order_relaxed);
+      // Sized here so the wiring below cannot allocate, hence cannot throw.
+      task->successors.reserve(rec.succ_count);
+      created.push_back(std::move(task));
     }
-    task->set_priority(rec.priority);
-    root_ctx_->live_children.fetch_add(1, std::memory_order_acq_rel);
-    pending_.fetch_add(1, std::memory_order_acq_rel);
-    if (graph_) graph_->add_node(id, task->label());
-    // The interned label hash travels with the graph: a warmed replay loop
-    // performs zero TraceSystem/ProfSystem::intern calls (test_replay.cpp
-    // asserts this through the intern_calls counters).
-    task->set_trace_label(rec.trace_label);
-    if (prof_) task->set_spawn_ts(ProfSystem::clock());
-    for (std::uint32_t k = rec.lock_begin; k < rec.lock_end; ++k) {
-      task->add_exclusion_lock(graph.locks_[k]);
+    if (graph_) {
+      for (const TaskPtr& t : created) graph_->add_node(t->id(), t->label());
+      for (const ReplayGraph::EdgeRec& e : graph.edges_) {
+        graph_->add_edge(created[e.from]->id(), created[e.to]->id(),
+                         static_cast<DepKind>(e.kind));
+      }
     }
-    if (rec.home_node >= 0 && !topo_.single_node()) {
-      task->set_home_node(rec.home_node, rec.home_soft);
-    }
-    // Wired in-degree plus the usual spawn guard, held until phase 2 so
-    // no task can become ready while its successor list is still being
-    // wired.
-    task->preds.store(1 + static_cast<int>(rec.pred_end - rec.pred_begin),
-                      std::memory_order_relaxed);
-    created.push_back(std::move(task));
+  } catch (...) {
+    // Nothing was published or wired: each task drops its only reference
+    // and recycles unrun, and the counters added above are taken back.
+    created.clear();
+    pending_.fetch_sub(n, std::memory_order_acq_rel);
+    root_ctx_->live_children.fetch_sub(n, std::memory_order_acq_rel);
+    throw;
   }
+  if (cfg_.pool) stats_.add_pool_acquires(recycled, n - recycled);
 
+  // Wiring: a task is referenced by `created` and by one successor-list
+  // entry per wired predecessor, so its refcount is set to that total and
+  // the entries adopt their references instead of retaining one each.
   for (std::size_t i = 0; i < n; ++i) {
     const ReplayGraph::TaskRec& rec = graph.tasks_[i];
+    Task* const t = created[i].get();
+    t->preset_refs(1 + rec.pred_end - rec.pred_begin);
     for (std::uint32_t k = rec.pred_begin; k < rec.pred_end; ++k) {
-      created[graph.pred_idx_[k]]->successors.push_back(created[i]);
+      created[graph.pred_idx_[k]]->successors.push_back(TaskPtr::adopt(t));
     }
   }
 
-  if (graph_) {
-    for (const ReplayGraph::EdgeRec& e : graph.edges_) {
-      graph_->add_edge(created[e.from]->id(), created[e.to]->id(),
-                       static_cast<DepKind>(e.kind));
-    }
-  }
   // Edge totals were counted once at capture; a replay adds them in four
   // bulk adds instead of one sink callback per edge.
   stats_.add_edges(graph.kind_counts_[0], graph.kind_counts_[1],
                    graph.kind_counts_[2], graph.kind_counts_[3]);
   stats_.on_replay(n);
 
-  // Phase 2: release the spawn guards in capture order and batch-publish
-  // the roots.  No guard release can make an *unwired* task ready — every
-  // successor list was completed above, and nothing executes before the
-  // publish below enqueues the first root.
-  const int worker = (Runtime::current() == this) ? Runtime::current_worker()
-                                                  : -1;
+  // Phase 2: mark the roots Ready and batch-publish them.  On a worker
+  // thread the first root is kept instead when the successor hand-off
+  // rule allows it (Scheduler::keep_unblocked): this thread wrote every
+  // task object, so the chain it starts runs from its own cache, and no
+  // worker is woken for a root this thread would otherwise wait on.
+  TaskPtr kept;
   for (std::size_t i = 0; i < n; ++i) {
     TaskPtr& t = created[i];
-    const bool is_ready =
-        t->preds.fetch_sub(1, std::memory_order_acq_rel) == 1;
-    if (is_ready) {
+    const ReplayGraph::TaskRec& rec = graph.tasks_[i];
+    const bool is_root = rec.pred_begin == rec.pred_end;
+    if (is_root) {
       t->set_state(TaskState::Ready);
       // Ready at submission: no dependency wait (ready_ts == spawn_ts).
       if (prof_) t->set_ready_ts(t->spawn_ts());
     }
-    if (trace_) trace_->emit_spawn(t->id(), t->trace_label(), is_ready);
-    if (is_ready) ready.push_back(std::move(t));
+    if (trace_) trace_->emit_spawn(t->id(), t->trace_label(), is_root);
+    if (!is_root) continue;
+    const bool first_root = !kept && ready.empty();
+    if (first_root && scheduler_->keep_unblocked(t, worker)) {
+      kept = std::move(t);
+    } else {
+      ready.push_back(std::move(t));
+    }
   }
   publish_ready_batch(ready, worker);
+  // A body run below may replay too, on this thread's scratch.
   created.clear();
   ready.clear();
+
+  // Run the kept root and every successor its chain keeps, accounted as
+  // local pops (next_task), before returning: replay() on a worker is a
+  // task scheduling point.
+  while (kept) {
+    TaskPtr t = next_task(kept, worker);
+    kept = execute(t, worker);
+  }
 }
 
 } // namespace oss

@@ -27,8 +27,11 @@
 // without touching any dependency shard — tasks come from the pool with
 // their predecessor counts pre-stored and successor lists pre-wired from
 // the CSR arrays, and ready roots are batch-enqueued through the node-aware
-// wakeup path.  `binder(i)` supplies the body for task index `i` (capture
-// order) on every replay, so buffers/frame data can change per iteration.
+// wakeup path — except, on a worker thread, the first root, which the
+// replaying thread runs itself with the chain it keeps before returning
+// (when Scheduler::keep_unblocked allows it).  `binder(i)` supplies the
+// body for task index `i` (capture order) on every replay, so buffers/frame
+// data can change per iteration.
 //
 // A capture scope is single-threaded by contract: only the capturing thread
 // may spawn between construction and finish().  Tasks spawned during
@@ -135,6 +138,7 @@ class ReplayGraph {
     std::uint32_t preds = 0;       ///< in-degree over captured edges
     std::uint32_t pred_begin = 0;  ///< CSR range into pred_idx_ (wired)
     std::uint32_t pred_end = 0;
+    std::uint32_t succ_count = 0;  ///< wired out-degree
     std::uint32_t lock_begin = 0;  ///< CSR range into locks_
     std::uint32_t lock_end = 0;
   };

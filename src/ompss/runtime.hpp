@@ -143,14 +143,24 @@ class Runtime {
   /// from the graph's CSR arrays, and ready roots are batch-enqueued
   /// through the node-aware wakeup path.  `binder(i)` supplies the body
   /// for task index `i` (capture order) — re-bound on every replay so
-  /// buffers/frame data can change between iterations.  Returns after
-  /// submission; pair with taskwait()/barrier() like any spawn burst.
+  /// buffers/frame data can change between iterations.  Pair with
+  /// taskwait()/barrier() like any spawn burst.
+  ///
+  /// Called on a worker thread (the owning thread included), replay() is a
+  /// task scheduling point: unless Scheduler::keep_unblocked refuses it
+  /// (fifo, a priority or off-node root, queued priority work), the first
+  /// root is run on the calling thread, with the chain of successors its
+  /// retirements keep, before replay() returns.  A graph whose root waits
+  /// for something the caller does after replay() returns must therefore
+  /// be replayed from a non-worker thread, where replay() only submits.
   ///
   /// Throws std::invalid_argument when `graph` is empty or was captured by
   /// a different runtime (including an earlier, since-destroyed instance —
   /// re-capture after a runtime restart), std::invalid_argument when
-  /// `binder` is empty.  Safe to call concurrently from several threads
-  /// with disjoint graphs.
+  /// `binder` is empty.  An exception from `binder` (or an allocation
+  /// failure) during submission is rethrown with nothing submitted and
+  /// the runtime's counters unchanged.  Safe to call concurrently from
+  /// several threads with disjoint graphs.
   void replay(const ReplayGraph& graph,
               const std::function<Task::Fn(std::size_t)>& binder);
 

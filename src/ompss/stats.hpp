@@ -143,6 +143,12 @@ class Stats {
   void on_pool_acquire(bool recycled) {
     inc(recycled ? tasks_recycled_ : pool_misses_);
   }
+  /// Bulk form for a replayed graph: its pool hits are counted locally and
+  /// added once.
+  void add_pool_acquires(std::uint64_t recycled, std::uint64_t misses) {
+    tasks_recycled_.fetch_add(recycled, std::memory_order_relaxed);
+    pool_misses_.fetch_add(misses, std::memory_order_relaxed);
+  }
 
   [[nodiscard]] StatsSnapshot snapshot() const;
 

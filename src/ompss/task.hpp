@@ -275,6 +275,13 @@ class Task {
     successors.clear();
   }
 
+  /// Sets the refcount of a task no other thread can reach yet, so its
+  /// holders-to-be adopt their references instead of each retaining one
+  /// (replay pre-wiring: 1 + wired in-degree).
+  void preset_refs(std::uint32_t n) noexcept {
+    refs_.store(n, std::memory_order_relaxed);
+  }
+
   void retain() noexcept { refs_.fetch_add(1, std::memory_order_relaxed); }
   void release() noexcept {
     if (refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) destroy_or_recycle();

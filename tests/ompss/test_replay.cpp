@@ -6,7 +6,12 @@
 //   * the dep-domain bypass proof — a warmed replay performs zero
 //     register_task calls (the dep_single/multi_shard counters stay flat)
 //   * binder rebinding, throwing bodies, runtime-restart rejection,
-//     concurrent replay of disjoint graphs, capture-scope contract errors
+//     concurrent replay of disjoint graphs, capture-scope contract errors,
+//     and a throwing binder or failed allocation mid-submission leaving
+//     nothing pending
+//   * the run-first rule — replay() on a worker runs the first root and
+//     its kept chain before returning, unless fifo, a priority root or a
+//     non-worker caller rules it out
 //   * observability parity — replayed tasks still emit Spawn/Ready/RunSpan
 //     trace events and profile rows while performing zero label interning
 //   * the wired structure — the transitive reduction keeps reachability
@@ -23,6 +28,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <random>
@@ -47,6 +53,9 @@
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
 std::atomic<bool> g_counting{false};
+/// Failure injection: the calling thread's throwing operator new fails
+/// once this many further allocations have succeeded (-1 = never).
+thread_local long t_fail_after = -1;
 
 void count_alloc() {
   if (g_counting.load(std::memory_order_relaxed))
@@ -59,6 +68,7 @@ void count_alloc() {
 namespace {
 void* counted_alloc(std::size_t n) {
   count_alloc();
+  if (t_fail_after >= 0 && t_fail_after-- == 0) throw std::bad_alloc();
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
@@ -458,6 +468,72 @@ TEST(Replay, ThrowingReplayedTaskSurfacesAndRuntimeStaysUsable) {
   rt.replay(g, [&](std::size_t i) -> oss::Task::Fn {
     return [&out, i] { out[i] = 3; };
   });
+  rt.taskwait();
+  for (int v : out) EXPECT_EQ(v, 3);
+}
+
+/// Captures one independent task per element of `out`, task `i`
+/// incrementing `out[i]`.
+ReplayGraph capture_independent(Runtime& rt, std::vector<int>& out) {
+  GraphCapture cap(rt);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    rt.task("t").inout(out[i]).spawn([&out, i] { ++out[i]; });
+  }
+  ReplayGraph g = cap.finish();
+  rt.taskwait();
+  return g;
+}
+
+oss::Task::Fn increment(std::vector<int>& out, std::size_t i) {
+  return [&out, i] { ++out[i]; };
+}
+
+TEST(Replay, ThrowingBinderLeavesRuntimeUsable) {
+  Runtime rt(oss_test::env_config(2));
+  std::vector<int> out(8, 0);
+  const ReplayGraph g = capture_independent(rt, out);
+  const oss::StatsSnapshot before = rt.stats();
+
+  EXPECT_THROW(rt.replay(g,
+                         [&](std::size_t i) -> oss::Task::Fn {
+                           if (i == 3) throw std::runtime_error("binder");
+                           return increment(out, i);
+                         }),
+               std::runtime_error);
+  // Nothing was submitted: no task pending, nothing to wait for, no
+  // replay counted, and the three bodies already bound never ran.
+  EXPECT_EQ(rt.pending_tasks(), 0u);
+  EXPECT_NO_THROW(rt.taskwait());
+  EXPECT_EQ(rt.stats().replay_graphs, before.replay_graphs);
+  EXPECT_EQ(rt.stats().tasks_spawned, before.tasks_spawned);
+  for (int v : out) EXPECT_EQ(v, 1);
+
+  rt.replay(g, [&](std::size_t i) { return increment(out, i); });
+  rt.taskwait();
+  for (int v : out) EXPECT_EQ(v, 2);
+}
+
+TEST(Replay, FailedAllocationDuringSubmissionLeavesRuntimeUsable) {
+  if (!interposer_active()) {
+    GTEST_SKIP() << "allocation interposer disabled under sanitizers";
+  }
+  // Without the pool every replayed task is one operator new, so the
+  // fourth allocation of the submission fails with tasks 0-2 created.
+  Runtime rt(replay_config(2, 8, false));
+  std::vector<int> out(8, 0);
+  const ReplayGraph g = capture_independent(rt, out);
+  const auto binder = [&](std::size_t i) { return increment(out, i); };
+  rt.replay(g, binder); // warm the replay scratch
+  rt.taskwait();
+
+  t_fail_after = 3;
+  EXPECT_THROW(rt.replay(g, binder), std::bad_alloc);
+  t_fail_after = -1;
+  EXPECT_EQ(rt.pending_tasks(), 0u);
+  EXPECT_NO_THROW(rt.taskwait());
+  for (int v : out) EXPECT_EQ(v, 2);
+
+  rt.replay(g, binder);
   rt.taskwait();
   for (int v : out) EXPECT_EQ(v, 3);
 }
@@ -898,6 +974,248 @@ TEST(ReplayReduction, ColumnDeclarationsWireEveryCapturedEdge) {
 }
 
 // ---------------------------------------------------------------------------
+// Run-first rule: replay() on a worker runs one root before returning
+// ---------------------------------------------------------------------------
+
+/// Where and when one replayed task ran.
+struct RunRecord {
+  std::thread::id thread;
+  bool in_replay = false; ///< the replaying thread had not left replay() yet
+};
+
+/// A captured `n`-link inout chain on one token.  Each link records where
+/// and when it ran and counts itself.
+struct RecordedChain {
+  explicit RecordedChain(std::size_t n) : runs(n) {}
+
+  std::vector<RunRecord> runs;
+  std::atomic<bool> replaying{false};
+  std::atomic<std::size_t> done{0};
+  std::uint64_t token = 0;
+  ReplayGraph graph;
+
+  oss::Task::Fn body(std::size_t i) {
+    return [this, i] {
+      runs[i] = {std::this_thread::get_id(), replaying.load()};
+      token = token * 3 + i;
+      done.fetch_add(1);
+    };
+  }
+  void capture(Runtime& rt) {
+    GraphCapture cap(rt);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      rt.task("link").inout(token).spawn(body(i));
+    }
+    graph = cap.finish();
+    rt.taskwait();
+  }
+  /// Replays from the calling thread, flagging the bodies that run before
+  /// replay() returns.
+  void replay(Runtime& rt) {
+    done.store(0);
+    replaying.store(true);
+    rt.replay(graph, [this](std::size_t i) { return body(i); });
+    replaying.store(false);
+  }
+  /// The token after `iterations` sequential runs of the chain.
+  [[nodiscard]] std::uint64_t expected(int iterations) const {
+    std::uint64_t v = 0;
+    for (int it = 0; it < iterations; ++it) {
+      for (std::size_t i = 0; i < runs.size(); ++i) v = v * 3 + i;
+    }
+    return v;
+  }
+  [[nodiscard]] std::size_t ran_inside_replay_on(std::thread::id t) const {
+    return static_cast<std::size_t>(
+        std::count_if(runs.begin(), runs.end(), [t](const RunRecord& r) {
+          return r.thread == t && r.in_replay;
+        }));
+  }
+};
+
+RuntimeConfig policy_config(std::size_t threads, oss::SchedulerPolicy p) {
+  RuntimeConfig cfg = RuntimeConfig::with_threads(threads);
+  cfg.scheduler = p;
+  return cfg;
+}
+
+TEST(ReplayRunFirst, ChainFromOwningThreadRunsInsideReplay) {
+  constexpr std::size_t kLinks = 2000;
+  for (const auto policy : {oss::SchedulerPolicy::Locality,
+                            oss::SchedulerPolicy::WorkStealing}) {
+    SCOPED_TRACE(oss::to_string(policy));
+    Runtime rt(policy_config(4, policy));
+    RecordedChain c(kLinks);
+    c.capture(rt);
+    c.replay(rt); // warm
+    rt.taskwait();
+
+    const oss::StatsSnapshot before = rt.stats();
+    c.replay(rt);
+    // Every link already ran, on this thread, before replay() returned:
+    // the root was kept and each retirement kept the next link.
+    EXPECT_EQ(c.done.load(), kLinks);
+    rt.taskwait();
+    EXPECT_EQ(c.ran_inside_replay_on(std::this_thread::get_id()), kLinks);
+    const oss::StatsSnapshot after = rt.stats();
+    EXPECT_EQ(after.wakeups - before.wakeups, 0u);
+    EXPECT_EQ(after.steals - before.steals, 0u);
+    EXPECT_EQ(after.local_pops - before.local_pops, kLinks);
+    EXPECT_EQ(c.token, c.expected(3));
+  }
+}
+
+TEST(ReplayRunFirst, FifoRunsNothingInsideReplay) {
+  Runtime rt(policy_config(4, oss::SchedulerPolicy::Fifo));
+  RecordedChain c(500);
+  c.capture(rt);
+  c.replay(rt);
+  rt.taskwait();
+  EXPECT_EQ(c.ran_inside_replay_on(std::this_thread::get_id()), 0u);
+  EXPECT_EQ(c.token, c.expected(2));
+}
+
+TEST(ReplayRunFirst, NonWorkerThreadRunsNothingInsideReplay) {
+  Runtime rt(policy_config(4, oss::SchedulerPolicy::Locality));
+  RecordedChain c(500);
+  c.capture(rt);
+  std::thread::id replayer;
+  std::thread t([&] {
+    replayer = std::this_thread::get_id();
+    c.replay(rt);
+  });
+  t.join();
+  rt.taskwait();
+  // The plain thread never helps, so no task can have run on it at all.
+  for (const RunRecord& r : c.runs) EXPECT_NE(r.thread, replayer);
+  EXPECT_EQ(c.token, c.expected(2));
+}
+
+TEST(ReplayRunFirst, PriorityRootIsPublishedNotRunInline) {
+  Runtime rt(policy_config(4, oss::SchedulerPolicy::Locality));
+  constexpr std::size_t kTasks = 16;
+  std::vector<RunRecord> runs(kTasks);
+  std::atomic<bool> replaying{false};
+  std::uint64_t token = 0;
+  const auto body = [&](std::size_t i) -> oss::Task::Fn {
+    return [&, i] {
+      runs[i] = {std::this_thread::get_id(), replaying.load()};
+      token = token * 3 + i;
+    };
+  };
+  ReplayGraph g;
+  {
+    GraphCapture cap(rt);
+    rt.task("urgent").priority(1).inout(token).spawn(body(0));
+    for (std::size_t i = 1; i < kTasks; ++i) {
+      rt.task("link").inout(token).spawn(body(i));
+    }
+    g = cap.finish();
+  }
+  rt.taskwait();
+  replaying.store(true);
+  rt.replay(g, body);
+  replaying.store(false);
+  rt.taskwait();
+  EXPECT_FALSE(runs[0].thread == std::this_thread::get_id() &&
+               runs[0].in_replay);
+}
+
+TEST(ReplayRunFirst, OneOfSeveralRootsRunsInline) {
+  // kRoots independent chains.  Each root waits until every root has
+  // started, so the roots run on kRoots distinct threads at once: the
+  // kept one inside replay() on this thread, the published ones on the
+  // workers their publish woke.
+  constexpr std::size_t kRoots = 3;
+  constexpr std::size_t kLinks = 8;
+  Runtime rt(policy_config(4, oss::SchedulerPolicy::Locality));
+  std::vector<RunRecord> roots(kRoots);
+  std::array<std::uint64_t, kRoots> chains{};
+  std::atomic<std::size_t> started{0};
+  std::atomic<bool> replaying{false};
+  const auto body = [&](std::size_t i) -> oss::Task::Fn {
+    const std::size_t chain = i % kRoots;
+    if (i >= kRoots) {
+      return [&chains, chain, i] { chains[chain] = chains[chain] * 3 + i; };
+    }
+    return [&, chain, i] {
+      roots[chain] = {std::this_thread::get_id(), replaying.load()};
+      started.fetch_add(1);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (started.load() % kRoots != 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      chains[chain] = chains[chain] * 3 + i;
+    };
+  };
+  ReplayGraph g;
+  {
+    GraphCapture cap(rt);
+    for (std::size_t i = 0; i < kRoots * kLinks; ++i) {
+      rt.task("op").inout(chains[i % kRoots]).spawn(body(i));
+    }
+    g = cap.finish();
+  }
+  rt.taskwait();
+  ASSERT_EQ(started.load(), kRoots);
+
+  replaying.store(true);
+  rt.replay(g, body);
+  replaying.store(false);
+  rt.taskwait();
+
+  const std::thread::id self = std::this_thread::get_id();
+  std::size_t inline_roots = 0;
+  for (std::size_t r = 0; r < kRoots; ++r) {
+    if (roots[r].thread == self) {
+      EXPECT_TRUE(roots[r].in_replay) << "root " << r;
+      ++inline_roots;
+    }
+    for (std::size_t q = 0; q < r; ++q) {
+      EXPECT_NE(roots[r].thread, roots[q].thread) << r << " vs " << q;
+    }
+  }
+  EXPECT_EQ(inline_roots, 1u);
+  for (std::size_t c = 0; c < kRoots; ++c) {
+    std::uint64_t expected = 0;
+    for (int it = 0; it < 2; ++it) {
+      for (std::size_t i = c; i < kRoots * kLinks; i += kRoots) {
+        expected = expected * 3 + i;
+      }
+    }
+    EXPECT_EQ(chains[c], expected) << "chain " << c;
+  }
+}
+
+TEST(ReplayRunFirst, ThrowingInlineRootSurfacesAtTaskwait) {
+  Runtime rt(policy_config(4, oss::SchedulerPolicy::Locality));
+  RecordedChain c(64);
+  c.capture(rt);
+  const std::thread::id self = std::this_thread::get_id();
+  std::thread::id root_thread;
+  c.replaying.store(true);
+  EXPECT_NO_THROW(rt.replay(c.graph, [&](std::size_t i) -> oss::Task::Fn {
+    if (i == 0) {
+      return [&] {
+        root_thread = std::this_thread::get_id();
+        throw std::runtime_error("inline root");
+      };
+    }
+    return c.body(i);
+  }));
+  c.replaying.store(false);
+  EXPECT_THROW(rt.taskwait(), std::runtime_error);
+  EXPECT_EQ(root_thread, self);
+
+  c.token = 0;
+  c.replay(rt);
+  rt.taskwait();
+  EXPECT_EQ(c.token, c.expected(1));
+}
+
+// ---------------------------------------------------------------------------
 // Zero-allocation proof for the warmed replay loop
 // ---------------------------------------------------------------------------
 
@@ -932,9 +1250,10 @@ TEST(Replay, WarmedReplaySubmissionIsAllocationFree) {
     rt.replay(g, binder);
     rt.taskwait();
   }
-  // With one thread, nothing executes during submission (worker 0 only
-  // helps inside waits) — the counted window is exactly the replay array
-  // walk: pool acquires, pre-wiring, guard releases, batch enqueue.
+  // On the owning thread replay() runs the chain it submits (unless the
+  // scheduler is fifo), so the counted window is the replay array walk
+  // (pool acquires, pre-wiring, root publish) plus the inline execution
+  // and retirement of the links.
   const std::uint64_t allocs = count_allocs([&] { rt.replay(g, binder); });
   rt.taskwait();
   EXPECT_EQ(allocs, 0u);

@@ -60,9 +60,18 @@ TEST(SchedulerStats, LocalityPolicyUsesLocalQueuesForChains) {
   cfg.scheduler = oss::SchedulerPolicy::Locality;
   oss::Runtime rt(cfg);
   int token = 0;
+  // The first link waits for a gate opened only after the last link is
+  // spawned, so every edge exists before any link retires.
+  std::atomic<bool> gate{false};
   for (int i = 0; i < 100; ++i) {
-    rt.spawn({oss::inout(token)}, [] { for (int j = 0; j < 100; ++j) { volatile int sink = j; (void)sink; } });
+    rt.spawn({oss::inout(token)}, [&gate, i] {
+      if (i == 0) {
+        while (!gate.load(std::memory_order_acquire)) std::this_thread::yield();
+      }
+      for (int j = 0; j < 100; ++j) { volatile int sink = j; (void)sink; }
+    });
   }
+  gate.store(true, std::memory_order_release);
   rt.taskwait();
   const auto stats = rt.stats();
   // Each unblocked chain link lands in the finisher's local queue.
