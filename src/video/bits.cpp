@@ -2,10 +2,16 @@
 
 namespace video {
 
-void BitWriter::put_bits(std::uint32_t value, int count) {
-  for (int i = count - 1; i >= 0; --i) {
-    cur_ = static_cast<std::uint8_t>((cur_ << 1) | ((value >> i) & 1u));
-    if (++nbits_ == 8) {
+void BitWriter::put_bits(std::uint64_t value, int count) {
+  while (count > 0) {
+    // Fill the current byte with as many of the remaining bits as fit.
+    const int take = count < 8 - nbits_ ? count : 8 - nbits_;
+    count -= take;
+    const auto chunk =
+        static_cast<unsigned>(value >> count) & ((1u << take) - 1u);
+    cur_ = static_cast<std::uint8_t>((cur_ << take) | chunk);
+    nbits_ += take;
+    if (nbits_ == 8) {
       bytes_.push_back(cur_);
       cur_ = 0;
       nbits_ = 0;
@@ -14,20 +20,21 @@ void BitWriter::put_bits(std::uint32_t value, int count) {
 }
 
 void BitWriter::put_ue(std::uint32_t v) {
+  // The code is len zeros followed by v + 1 in len + 1 bits.
   const std::uint64_t code = static_cast<std::uint64_t>(v) + 1;
-  int len = 0;
-  while ((code >> len) > 1) ++len; // floor(log2(code))
-  put_bits(0, len);                // len leading zeros
-  for (int i = len; i >= 0; --i) {
-    put_bits(static_cast<std::uint32_t>((code >> i) & 1u), 1);
+  const int len = std::bit_width(code) - 1;
+  if (2 * len + 1 <= 64) {
+    put_bits(code, 2 * len + 1);
+  } else {
+    put_bits(0, len);
+    put_bits(code, len + 1);
   }
 }
 
 void BitWriter::put_se(std::int32_t v) {
-  const std::uint32_t mapped =
-      v > 0 ? static_cast<std::uint32_t>(2 * v - 1)
-            : static_cast<std::uint32_t>(-2 * static_cast<std::int64_t>(v));
-  put_ue(mapped);
+  // In 64 bits: 2 * v overflows an int32 for |v| > 2^30.
+  const std::int64_t wide = v;
+  put_ue(static_cast<std::uint32_t>(wide > 0 ? 2 * wide - 1 : -2 * wide));
 }
 
 std::vector<std::uint8_t> BitWriter::finish() {
@@ -40,32 +47,26 @@ std::vector<std::uint8_t> BitWriter::finish() {
   return std::move(bytes_);
 }
 
-std::uint32_t BitReader::get_bits(int count) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < count; ++i) {
-    if (pos_ >= size_ * 8) throw std::out_of_range("BitReader: past end of stream");
-    const std::size_t byte = pos_ >> 3;
-    const int bit = 7 - static_cast<int>(pos_ & 7);
-    v = (v << 1) | ((data_[byte] >> bit) & 1u);
-    ++pos_;
+void BitReader::refill_tail() {
+  while (avail_ <= 56 && next_ < size_) {
+    cache_ |= std::uint64_t{data_[next_++]} << (56 - avail_);
+    avail_ += 8;
   }
-  return v;
 }
 
-std::uint32_t BitReader::get_ue() {
-  int zeros = 0;
-  while (get_bits(1) == 0) {
-    if (++zeros > 32) throw std::out_of_range("BitReader: malformed ue code");
-  }
-  std::uint32_t v = 1;
-  for (int i = 0; i < zeros; ++i) v = (v << 1) | get_bits(1);
-  return v - 1;
+void BitReader::throw_past_end() {
+  next_ = size_;
+  cache_ = 0;
+  avail_ = 0;
+  throw std::out_of_range("BitReader: past end of stream");
 }
 
-std::int32_t BitReader::get_se() {
-  const std::uint32_t k = get_ue();
-  if (k & 1u) return static_cast<std::int32_t>((k + 1) / 2);
-  return -static_cast<std::int32_t>(k / 2);
+void BitReader::throw_bad_prefix() {
+  // The prefix runs off the end of the stream before 33 zeros: that is a
+  // truncation, not a malformed code.
+  if (avail_ <= 32) throw_past_end();
+  consume(33);
+  throw std::out_of_range("BitReader: malformed ue code");
 }
 
 } // namespace video

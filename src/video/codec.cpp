@@ -1,6 +1,7 @@
 #include "video/codec.hpp"
 
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 
 #include "video/source.hpp"
@@ -14,11 +15,28 @@ std::uint8_t clamp_pixel(int v) {
   return static_cast<std::uint8_t>(v < 0 ? 0 : (v > 255 ? 255 : v));
 }
 
+/// True when the 16×16 block at (x, y) lies entirely inside `f`, so it can
+/// be read row by row with no edge clamping.
+bool block_inside(const VideoFrame& f, int x, int y) {
+  return x >= 0 && y >= 0 && x + kMbSize <= f.width && y + kMbSize <= f.height;
+}
+
 /// Sum of absolute differences between a 16×16 source block and a
 /// (clamped) reference block displaced by (mvx, mvy).
 long sad16(const VideoFrame& src, const VideoFrame& ref, int px, int py,
            int mvx, int mvy) {
   long sad = 0;
+  if (block_inside(ref, px + mvx, py + mvy)) {
+    const std::uint8_t* s = &src.y[static_cast<std::size_t>(py) * src.width + px];
+    const std::uint8_t* r =
+        &ref.y[static_cast<std::size_t>(py + mvy) * ref.width + px + mvx];
+    for (int y = 0; y < kMbSize; ++y, s += src.width, r += ref.width) {
+      int row = 0;
+      for (int x = 0; x < kMbSize; ++x) row += std::abs(int{s[x]} - int{r[x]});
+      sad += row;
+    }
+    return sad;
+  }
   for (int y = 0; y < kMbSize; ++y) {
     for (int x = 0; x < kMbSize; ++x) {
       const int rx = px + x + mvx;
@@ -41,41 +59,68 @@ void predict_mb(const FrameHeader& hdr, const MbSyntax& mb, int mbx, int mby,
   if (hdr.type == FrameType::I) {
     const int dc = intra_dc_prediction(cur, mbx, mby);
     for (int i = 0; i < kMbSize * kMbSize; ++i) pred[i] = static_cast<std::uint8_t>(dc);
-  } else {
-    for (int y = 0; y < kMbSize; ++y) {
-      for (int x = 0; x < kMbSize; ++x) {
-        const int rx = px + x + mb.mvx;
-        const int ry = py + y + mb.mvy;
-        const int cx = rx < 0 ? 0 : (rx >= ref->width ? ref->width - 1 : rx);
-        const int cy = ry < 0 ? 0 : (ry >= ref->height ? ref->height - 1 : ry);
-        pred[y * kMbSize + x] = ref->at(cx, cy);
-      }
+    return;
+  }
+  if (ref == nullptr || ref->y.empty()) {
+    throw std::runtime_error("predict_mb: P frame without a reference frame");
+  }
+  const int rx0 = px + mb.mvx;
+  const int ry0 = py + mb.mvy;
+  if (block_inside(*ref, rx0, ry0)) {
+    const std::uint8_t* r =
+        &ref->y[static_cast<std::size_t>(ry0) * ref->width + rx0];
+    for (int y = 0; y < kMbSize; ++y, r += ref->width) {
+      std::memcpy(pred + y * kMbSize, r, kMbSize);
+    }
+    return;
+  }
+  for (int y = 0; y < kMbSize; ++y) {
+    for (int x = 0; x < kMbSize; ++x) {
+      const int rx = rx0 + x;
+      const int ry = ry0 + y;
+      const int cx = rx < 0 ? 0 : (rx >= ref->width ? ref->width - 1 : rx);
+      const int cy = ry < 0 ? 0 : (ry >= ref->height ? ref->height - 1 : ry);
+      pred[y * kMbSize + x] = ref->at(cx, cy);
     }
   }
 }
 
+/// True when every level of a 4×4 block is zero.
+bool all_zero(const std::int16_t levels[16]) {
+  std::int16_t any = 0;
+  for (int i = 0; i < 16; ++i) any |= levels[i];
+  return any == 0;
+}
+
 /// Applies residual levels on top of a prediction and writes the
 /// reconstructed macroblock into `cur` — the shared encoder/decoder loop.
+/// A block with no levels has a zero residual (the inverse transform of
+/// zeros is zero), so it reconstructs to its prediction unchanged.
 void reconstruct_from_levels(const FrameHeader& hdr, const MbSyntax& mb,
                              int mbx, int mby,
                              const std::uint8_t pred[kMbSize * kMbSize],
                              VideoFrame& cur) {
   const int step = qp_to_step(hdr.qp);
-  const int px = mbx * kMbSize;
-  const int py = mby * kMbSize;
+  std::uint8_t* const out =
+      &cur.y[static_cast<std::size_t>(mby) * kMbSize * cur.width +
+             static_cast<std::size_t>(mbx) * kMbSize];
   for (int b = 0; b < kBlocksPerMb; ++b) {
     const int bx = (b % 4) * 4;
     const int by = (b / 4) * 4;
+    const std::uint8_t* p = pred + by * kMbSize + bx;
+    std::uint8_t* o = out + static_cast<std::size_t>(by) * cur.width + bx;
+    if (all_zero(mb.levels[b])) {
+      for (int y = 0; y < 4; ++y, p += kMbSize, o += cur.width) {
+        std::memcpy(o, p, 4);
+      }
+      continue;
+    }
     std::int32_t coeffs[16];
     std::int16_t residual[16];
     dequantize4x4(mb.levels[b], coeffs, step);
     inverse_transform4x4(coeffs, residual);
-    for (int y = 0; y < 4; ++y) {
-      for (int x = 0; x < 4; ++x) {
-        const int p = pred[(by + y) * kMbSize + bx + x];
-        cur.at(px + bx + x, py + by + y) =
-            clamp_pixel(p + residual[y * 4 + x]);
-      }
+    for (int y = 0; y < 4; ++y, p += kMbSize, o += cur.width) {
+      for (int x = 0; x < 4; ++x) o[x] = clamp_pixel(p[x] + residual[y * 4 + x]);
     }
   }
 }

@@ -57,7 +57,15 @@ void entropy_decode_frame(BitReader& br, const FrameHeader& hdr, MbSyntax* mbs);
 
 /// Reconstruction of one macroblock.  For FrameType::I the macroblocks at
 /// (mbx-1, mby) and (mbx, mby-1) must already be reconstructed in `cur`;
-/// for FrameType::P `ref` must be the fully reconstructed previous frame.
+/// for FrameType::P `ref` must be the fully reconstructed previous frame,
+/// and a null or empty `ref` throws std::runtime_error.
+///
+/// Fast paths, each bit-exact with the general loop: a P macroblock whose
+/// whole 16×16 displaced block lies inside `ref` is predicted by copying
+/// rows (only a block that reaches past an edge needs per-pixel clamping),
+/// and a 4×4 block whose levels are all zero skips dequantisation and the
+/// inverse transform, since it reconstructs to its prediction.  The
+/// encoder's motion search uses the same in-bounds test for its SAD.
 void reconstruct_mb(const FrameHeader& hdr, const MbSyntax* mbs, int mbx,
                     int mby, VideoFrame& cur, const VideoFrame* ref);
 

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <stdexcept>
+#include <utility>
+
+#include "apps/h264dec/h264dec_app.hpp"
 
 namespace {
 
@@ -154,6 +159,85 @@ TEST(Codec, WavefrontOrderIsRasterEquivalent) {
     }
   }
   EXPECT_EQ(raster.y, wave.y);
+}
+
+/// FNV-1a over every payload byte and every reconstruction checksum.
+std::uint64_t encoder_output_hash(const EncodedVideo& video,
+                                  const std::vector<std::uint64_t>& recon) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint8_t byte) {
+    h ^= byte;
+    h *= 1099511628211ull;
+  };
+  for (const auto& f : video.frames) {
+    for (const std::uint8_t b : f.payload) mix(b);
+  }
+  for (const std::uint64_t c : recon) {
+    for (int i = 0; i < 8; ++i) mix(static_cast<std::uint8_t>(c >> (8 * i)));
+  }
+  return h;
+}
+
+TEST(Codec, EncoderOutputPinned) {
+  // Constants recorded from the bit-at-a-time reader/writer and the
+  // all-clamped motion search: the word-level bit I/O and the in-bounds
+  // fast paths must not change a single output byte.
+  for (const auto& [scale, pinned] :
+       {std::pair{benchcore::Scale::Tiny, 0xab65dc1de8eb75baull},
+        std::pair{benchcore::Scale::Small, 0x65bfc57ef6c50ac0ull}}) {
+    const auto w = apps::H264Workload::make(scale);
+    EXPECT_EQ(encoder_output_hash(w.video, w.expected_checksums), pinned)
+        << "scale " << static_cast<int>(scale);
+  }
+
+  // 3×2 macroblocks: every block is an edge block, and a search range of 4
+  // sends most candidates past an edge.
+  EncoderConfig edge;
+  edge.width = 48;
+  edge.height = 32;
+  edge.frames = 8;
+  edge.gop = 4;
+  edge.qp = 16;
+  edge.search_range = 4;
+  const EncodeResult enc = encode_video(edge);
+  EXPECT_EQ(encoder_output_hash(enc.video, enc.recon_checksums), 0x9e0629b11c6478d8ull);
+}
+
+TEST(Codec, FastPathsMatchClampedReference) {
+  // With zero levels a P macroblock reconstructs to its prediction, so
+  // every motion vector in [-6, 6]^2 at border and interior macroblocks
+  // must give the clamped displaced reference block.
+  std::mt19937 rng(31);
+  VideoFrame ref(64, 48);
+  for (auto& p : ref.y) p = static_cast<std::uint8_t>(rng());
+  FrameHeader hdr;
+  hdr.type = FrameType::P;
+  hdr.mb_w = 4;
+  hdr.mb_h = 3;
+  std::vector<MbSyntax> mbs(hdr.mb_count());
+  VideoFrame cur(64, 48);
+  for (int mvy = -6; mvy <= 6; ++mvy) {
+    for (int mvx = -6; mvx <= 6; ++mvx) {
+      for (auto& mb : mbs) {
+        mb.mvx = static_cast<std::int16_t>(mvx);
+        mb.mvy = static_cast<std::int16_t>(mvy);
+      }
+      for (auto& p : cur.y) p = static_cast<std::uint8_t>(rng());
+      for (int mby = 0; mby < hdr.mb_h; ++mby) {
+        for (int mbx = 0; mbx < hdr.mb_w; ++mbx) {
+          reconstruct_mb(hdr, mbs.data(), mbx, mby, cur, &ref);
+        }
+      }
+      for (int y = 0; y < cur.height; ++y) {
+        for (int x = 0; x < cur.width; ++x) {
+          const int cx = std::clamp(x + mvx, 0, ref.width - 1);
+          const int cy = std::clamp(y + mvy, 0, ref.height - 1);
+          ASSERT_EQ(cur.at(x, y), ref.at(cx, cy))
+              << "mv (" << mvx << "," << mvy << ") pixel (" << x << "," << y << ")";
+        }
+      }
+    }
+  }
 }
 
 } // namespace

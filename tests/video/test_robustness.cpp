@@ -77,4 +77,25 @@ TEST(Robustness, HeaderDimensionLimitsEnforced) {
   EXPECT_THROW(parse_frame_header(br), std::runtime_error);
 }
 
+TEST(Robustness, PFrameWithoutReferenceThrows) {
+  // A stream cut so that it starts with a P frame has nothing to predict
+  // from: decoding must fail cleanly instead of reading an empty frame.
+  EncodedVideo v = small_stream();
+  ASSERT_GE(v.frames.size(), 2u);
+  v.frames.erase(v.frames.begin());
+  EXPECT_THROW(decode_video_seq(v), std::runtime_error);
+
+  BitReader br(v.frames[0].payload);
+  const FrameHeader hdr = parse_frame_header(br);
+  ASSERT_EQ(hdr.type, FrameType::P);
+  std::vector<MbSyntax> mbs(hdr.mb_count());
+  entropy_decode_frame(br, hdr, mbs.data());
+  VideoFrame cur(hdr.width(), hdr.height());
+  EXPECT_THROW(reconstruct_mb(hdr, mbs.data(), 0, 0, cur, nullptr),
+               std::runtime_error);
+  const VideoFrame empty;
+  EXPECT_THROW(reconstruct_mb(hdr, mbs.data(), 1, 1, cur, &empty),
+               std::runtime_error);
+}
+
 } // namespace
