@@ -6,7 +6,9 @@
 // reads the `OSS_*` variables below; every knob can also be set
 // programmatically before constructing a `Runtime`.
 //
-//   OSS_NUM_THREADS   total threads (main + workers).  Default: hardware
+//   OSS_NUM_THREADS   executor slots N: slot 0 (the owning thread, or its
+//                     stand-in while an oss::service::Service built there
+//                     is alive) + N-1 pool workers.  Default: hardware
 //                     concurrency.
 //   OSS_SCHEDULER     "locality" (default) | "fifo" | "wsteal".
 //   OSS_BARRIER       "poll" (default) | "block" — how taskwait/barrier wait.
@@ -167,10 +169,12 @@ bool parse_env_bool(const char* name, const char* value);
 
 /// Complete configuration of a `Runtime`.
 struct RuntimeConfig {
-  /// Total number of threads executing tasks, including the thread that
-  /// constructs the runtime (which executes tasks while it waits).  Must be
-  /// >= 1; `num_threads == 1` degenerates to lazy sequential execution at
-  /// wait points.
+  /// Executor slots: slot 0 is the thread that constructs the runtime
+  /// (which executes tasks while it waits) or, while that thread lends the
+  /// slot (Runtime::lend_slot0, taken by a Service built on it), a
+  /// stand-in thread; slots 1..N-1 are pool workers.  Must be >= 1;
+  /// `num_threads == 1` degenerates to lazy sequential execution at wait
+  /// points unless slot 0 is lent.
   std::size_t num_threads = 0; // 0 = use hardware concurrency
 
   SchedulerPolicy scheduler = SchedulerPolicy::Locality;

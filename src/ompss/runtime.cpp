@@ -192,13 +192,15 @@ Runtime::Runtime(RuntimeConfig cfg)
     idle_gates_.push_back(std::make_unique<EventCount>());
   }
 
-  // The constructing thread becomes worker 0 for the lifetime of the
-  // runtime (it executes tasks whenever it waits).
+  // The constructing thread becomes worker 0 (it executes tasks whenever
+  // it waits) until it lends the slot (lend_slot0).
   tl_binding = ThreadBinding{this, 0, nullptr};
+  owner_tid_ = std::this_thread::get_id();
 
   workers_.reserve(num_threads_ - 1);
   for (std::size_t i = 1; i < num_threads_; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(static_cast<int>(i)); });
+    workers_.emplace_back(
+        [this, i] { worker_loop(static_cast<int>(i), stop_); });
   }
 
   if (cfg_.resolved_pin_mode() != PinMode::Off) apply_pinning();
@@ -360,7 +362,7 @@ void Runtime::apply_pinning() {
         ok = pin_current_thread(target);
         if (ok) {
           owner_prev_cpus_ = allowed;
-          owner_tid_ = std::this_thread::get_id();
+          slot0_cpus_ = target;
         }
       } else {
         ok = pin_thread(workers_[w - 1].native_handle(), target);
@@ -402,12 +404,15 @@ Runtime::~Runtime() {
     std::fprintf(stderr, "oss::Runtime: exception pending at destruction\n");
   }
   stop_.store(true, std::memory_order_release);
+  standin_stop_.store(true, std::memory_order_release);
   for (auto& gate : idle_gates_) gate->notify_all();
   {
     std::lock_guard lock(cv_mu_);
     cv_.notify_all();
   }
   for (auto& w : workers_) w.join();
+  // A loan never reclaimed on the owning thread ends here.
+  if (standin_.joinable()) standin_.join();
   // Final drain after every producer thread is gone, then the deferred
   // export (trace_to / OSS_TRACE_OUT).  Failures warn — a missing trace
   // file must never take the process down in a destructor.
@@ -441,6 +446,74 @@ Runtime::~Runtime() {
     pin_current_thread(owner_prev_cpus_);
   }
   if (tl_binding.rt == this) tl_binding = ThreadBinding{};
+}
+
+// ---------------------------------------------------------------------------
+// Slot-0 loan
+// ---------------------------------------------------------------------------
+
+bool Runtime::lend_slot0() {
+  std::lock_guard lock(loan_mu_);
+  if (standin_.joinable()) {
+    // Already lent: only the owning thread, now foreign and outside any
+    // task, adds a loan to the running stand-in.
+    if (tl_binding.rt != nullptr ||
+        std::this_thread::get_id() != owner_tid_) {
+      return false;
+    }
+    ++lenders_;
+    return true;
+  }
+  if (tl_binding.rt != this || tl_binding.worker != 0 ||
+      tl_binding.current_task != nullptr) {
+    return false;
+  }
+  // One occupant at a time: the owning thread gives up its binding, its
+  // slot-0 CPU mask and its trace row before the stand-in exists.  The
+  // thread start orders everything the owner did as worker 0 (its deque,
+  // prof shard, run slot) before the stand-in's first step.
+  tl_binding = ThreadBinding{};
+  if (!slot0_cpus_.empty()) pin_current_thread(owner_prev_cpus_);
+  if (trace_) trace_->bind_worker(-1);
+  try {
+    standin_ = std::thread([this] {
+      if (!slot0_cpus_.empty()) pin_current_thread(slot0_cpus_);
+      worker_loop(0, standin_stop_);
+    });
+  } catch (...) {
+    rebind_owner();
+    throw;
+  }
+  ++lenders_;
+  return true;
+}
+
+void Runtime::reclaim_slot0() {
+  std::thread standin;
+  {
+    std::lock_guard lock(loan_mu_);
+    if (lenders_ > 0) --lenders_;
+    if (lenders_ > 0 || !standin_.joinable() || tl_binding.rt != nullptr ||
+        std::this_thread::get_id() != owner_tid_) {
+      return;
+    }
+    standin = std::move(standin_);
+  }
+  // Joined outside loan_mu_: a task the stand-in is finishing may itself
+  // lend or reclaim (and be refused) without deadlocking against us.  The
+  // stand-in returns once it holds no kept task; what it left queued stays
+  // stealable.
+  standin_stop_.store(true, std::memory_order_release);
+  idle_gates_[gate_index(0)]->notify_all();
+  standin.join();
+  standin_stop_.store(false, std::memory_order_relaxed);
+  rebind_owner();
+}
+
+void Runtime::rebind_owner() {
+  if (!slot0_cpus_.empty()) pin_current_thread(slot0_cpus_);
+  if (trace_) trace_->bind_worker(0);
+  tl_binding = ThreadBinding{this, 0, nullptr};
 }
 
 // ---------------------------------------------------------------------------
@@ -843,7 +916,7 @@ void Runtime::hand_back(TaskPtr t, int wid) {
   wake_one_worker(wake_node);
 }
 
-void Runtime::worker_loop(int wid) {
+void Runtime::worker_loop(int wid, const std::atomic<bool>& stop) {
   tl_binding = ThreadBinding{this, wid, nullptr};
   if (trace_) trace_->bind_worker(wid);
   std::size_t idle_rounds = 0;
@@ -854,7 +927,7 @@ void Runtime::worker_loop(int wid) {
   EventCount& gate = *idle_gates_[gate_index(wid)];
   // A chain of kept successors runs link after link through `held`.
   TaskPtr held;
-  while (held || !stop_.load(std::memory_order_acquire)) {
+  while (held || !stop.load(std::memory_order_acquire)) {
     if (TaskPtr t = next_task(held, wid)) {
       held = execute(t, wid);
       idle_rounds = 0;
@@ -893,7 +966,7 @@ void Runtime::worker_loop(int wid) {
         // a phantom waiter while this worker is busy executing.
         if (idle_rounds > cfg_.spin_rounds) {
           const std::uint64_t key = gate.prepare_wait();
-          if (stop_.load(std::memory_order_acquire) ||
+          if (stop.load(std::memory_order_acquire) ||
               scheduler_->queued() != 0) {
             gate.cancel_wait();
           } else {

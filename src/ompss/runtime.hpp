@@ -23,10 +23,12 @@
 //   * `critical(name, fn)` is `#pragma omp critical(name)` for dependencies
 //     deliberately hidden from the task specifications.
 //
-// Threading model: `num_threads` total executors = the constructing thread
-// (worker 0, which executes tasks whenever it waits) plus `num_threads - 1`
-// pool workers.  This mirrors "a static number of cores controlled by an
-// environmental variable" — see RuntimeConfig.
+// Threading model: `num_threads` executor slots.  Slot 0 is the constructing
+// thread (worker 0, which executes tasks whenever it waits), slots 1..N-1
+// are pool workers.  This mirrors "a static number of cores controlled by
+// an environmental variable" — see RuntimeConfig.  While the owning thread
+// lends slot 0 (lend_slot0, done by an oss::service::Service built on it),
+// a stand-in thread runs slot 0's worker loop instead.
 //
 // Exceptions thrown by task bodies are captured and rethrown at the parent's
 // next `taskwait()` / `barrier()` (first exception wins).
@@ -146,11 +148,12 @@ class Runtime {
   /// buffers/frame data can change between iterations.  Pair with
   /// taskwait()/barrier() like any spawn burst.
   ///
-  /// Called on a worker thread (the owning thread included), replay() is a
-  /// task scheduling point: unless Scheduler::keep_unblocked refuses it
-  /// (fifo, a priority or off-node root, queued priority work), the first
-  /// root is run on the calling thread, with the chain of successors its
-  /// retirements keep, before replay() returns.  A graph whose root waits
+  /// Called on a worker thread (the owning thread included, unless it lent
+  /// slot 0 — lend_slot0), replay() is a task scheduling point: unless
+  /// Scheduler::keep_unblocked refuses it (fifo, a priority or off-node
+  /// root, queued priority work), the first root is run on the calling
+  /// thread, with the chain of successors its retirements keep, before
+  /// replay() returns.  A graph whose root waits
   /// for something the caller does after replay() returns must therefore
   /// be replayed from a non-worker thread, where replay() only submits.
   ///
@@ -201,8 +204,28 @@ class Runtime {
   /// Runs `fn` holding the named critical-section mutex.
   void critical(std::string_view name, const std::function<void()>& fn);
 
-  /// Total executor threads (pool workers + the owning thread).
+  /// Executor slots: pool workers 1..N-1 plus slot 0, which is the owning
+  /// thread, or the stand-in while slot 0 is lent (lend_slot0).
   [[nodiscard]] std::size_t num_threads() const noexcept { return num_threads_; }
+
+  /// Lends executor slot 0 to a stand-in thread that runs slot 0's worker
+  /// loop, so an owning thread that blocks outside the runtime (say, joining
+  /// the threads that submit work) leaves no executor idle.  Only the
+  /// owning thread outside any task can lend; anywhere else this returns
+  /// false and changes nothing.  While lent, the owning thread is a foreign
+  /// thread: current() is null, its spawns go to the global queue, its
+  /// waits help through the non-worker pick, and replay() only submits.
+  /// Loans are counted: the first starts the stand-in, later ones share
+  /// it.  Every lend that returned true is paired with one reclaim_slot0().
+  bool lend_slot0();
+
+  /// Returns one loan.  When the last loan is returned on the owning
+  /// thread outside any task, the stand-in finishes the chain it holds and
+  /// is joined, and the owning thread is worker 0 again (binding, OSS_PIN
+  /// mask and trace row restored).  Returned anywhere else, the stand-in
+  /// keeps slot 0 until a later lend/reclaim pair on the owning thread or
+  /// the destructor.  Tasks left in slot 0's deque stay stealable.
+  void reclaim_slot0();
 
   [[nodiscard]] const RuntimeConfig& config() const noexcept { return cfg_; }
 
@@ -318,7 +341,13 @@ class Runtime {
  private:
   friend class GraphCapture;
 
-  void worker_loop(int wid);
+  /// The scheduling loop of executor slot `wid`, run by pool workers and
+  /// by the slot-0 stand-in; returns once `stop` is set and no kept task
+  /// is held.
+  void worker_loop(int wid, const std::atomic<bool>& stop);
+  /// Makes the calling (owning) thread worker 0 again: OSS_PIN mask,
+  /// trace row and binding, in that order.
+  void rebind_owner();
   /// OSS_PIN: binds every worker thread (including the owning thread,
   /// worker 0) to its pinning target, intersected with the process
   /// affinity mask — the home node's whole CPU set for `node`, a single
@@ -464,12 +493,13 @@ class Runtime {
   alignas(64) std::atomic<bool> stop_{false};
 
   std::size_t pinned_workers_ = 0; ///< workers OSS_PIN actually bound
-  /// Worker 0 is the caller's thread: its pre-pin affinity mask and thread
-  /// id are saved so a destructor running on that same thread hands it
-  /// back unpinned (cross-thread destruction keeps the pinned mask —
-  /// restoring through a stored pthread handle would risk a dead
-  /// pthread_t; the id comparison has no such lifetime hazard and, unlike
-  /// tl_binding, survives nested runtimes on one thread).
+  /// Worker 0 is the caller's thread: its thread id identifies it to
+  /// lend_slot0/reclaim_slot0, and its pre-pin affinity mask is saved so a
+  /// destructor running on that same thread hands it back unpinned
+  /// (cross-thread destruction keeps the pinned mask — restoring through a
+  /// stored pthread handle would risk a dead pthread_t; the id comparison
+  /// has no such lifetime hazard and, unlike tl_binding, survives nested
+  /// runtimes on one thread).
   std::vector<int> owner_prev_cpus_;
   std::thread::id owner_tid_;
 
@@ -493,6 +523,16 @@ class Runtime {
   std::atomic<int> blocked_waiters_{0};
 
   std::vector<std::thread> workers_;
+
+  /// Slot-0 loan (lend_slot0): slot 0's OSS_PIN target (empty =
+  /// unpinned), the number of outstanding loans and the stand-in thread,
+  /// both guarded by loan_mu_, and the stand-in's stop flag.  A stand-in is
+  /// started and joined only on the owning thread.
+  std::vector<int> slot0_cpus_;
+  std::mutex loan_mu_;
+  std::size_t lenders_ = 0;
+  std::atomic<bool> standin_stop_{false};
+  std::thread standin_;
 };
 
 } // namespace oss

@@ -94,15 +94,21 @@ TraceSystem::~TraceSystem() = default;
 void TraceSystem::bind_worker(int wid) {
   std::lock_guard lock(mu_);
   const std::thread::id self = std::this_thread::get_id();
+  const int row = wid >= 0 ? wid : kForeignBase + foreign_rows_++;
   for (auto& r : rings_) {
-    if (r->owner == self) { // rebind (nested runtimes on one thread)
+    if (r->owner == self) {
+      // A thread changing rows (the owning thread lending or reclaiming
+      // slot 0, or a new thread reusing a dead one's id): drain first, so
+      // what it emitted so far keeps the row it was emitted under.
+      drain_locked();
+      r->tid = row;
       tls_slot_ = TlsSlot{this, epoch_, r.get()};
       return;
     }
   }
   rings_.push_back(std::make_unique<Ring>(ring_capacity_));
   Ring* r = rings_.back().get();
-  r->tid = wid;
+  r->tid = row;
   r->owner = self;
   tls_slot_ = TlsSlot{this, epoch_, r};
 }

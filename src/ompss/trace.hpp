@@ -164,8 +164,10 @@ class TraceSystem {
   }
 
   /// Declares the calling thread to be worker `wid` — its ring becomes the
-  /// worker's timeline row.  Unbound threads that emit (foreign spawners)
-  /// self-register as "spawner k" rows (tid >= kForeignBase).
+  /// worker's timeline row — or, for `wid` < 0, a new "spawner k" row.
+  /// Unbound threads that emit (foreign spawners) self-register as
+  /// "spawner k" rows (tid >= kForeignBase).  Rebinding a thread drains
+  /// the rings first, so earlier events keep their row.
   void bind_worker(int wid);
 
   // --- hot emitters -------------------------------------------------------

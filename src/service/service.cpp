@@ -163,6 +163,7 @@ Service::Service(oss::Runtime& rt, Config cfg)
     : rt_(&rt), cfg_(cfg), num_nodes_(rt.topology().num_nodes()) {
   cfg_.max_streams = std::max<std::size_t>(cfg_.max_streams, 1);
   cfg_.window = std::max<std::size_t>(cfg_.window, 1);
+  lent_slot0_ = rt.lend_slot0();
 }
 
 Service::~Service() {
@@ -171,6 +172,7 @@ Service::~Service() {
   } catch (...) {
     // see ~Stream
   }
+  if (lent_slot0_) rt_->reclaim_slot0();
 }
 
 StreamPtr Service::open(std::string name, Reject* why) {

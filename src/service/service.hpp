@@ -25,6 +25,13 @@
 //     derivation of docs/numa.md).  On single-node machines the node is -1
 //     and everything degenerates to plain allocation, no affinity hint.
 //
+//   * Executor accounting.  A Service built on the runtime's owning thread,
+//     outside any task, lends executor slot 0 for its lifetime
+//     (Runtime::lend_slot0): a stand-in thread runs slot 0 while the owner
+//     waits elsewhere (typically joining the threads that submit), so the
+//     streams decode on all N executors.  Loans are counted; the last
+//     Service destroyed on the owning thread hands the slot back.
+//
 // Knobs: OSS_SERVICE_MAX_STREAMS, OSS_SERVICE_WINDOW (`Config::from_env`,
 // parsed with the same strict integer rules as every other OSS_* knob).
 //
@@ -189,9 +196,12 @@ class Service {
     std::size_t active = 0;              ///< currently open
   };
 
+  /// On the runtime's owning thread outside any task, lends executor slot
+  /// 0 to a stand-in until destruction (see the header comment).
   Service(oss::Runtime& rt, Config cfg = Config::from_env());
 
-  /// Closes every stream still open (drains them), then the service.
+  /// Closes every stream still open (drains them), then the service, then
+  /// returns the slot-0 loan if construction took one.
   ~Service();
 
   Service(const Service&) = delete;
@@ -215,6 +225,7 @@ class Service {
   oss::Runtime* rt_;
   Config cfg_;
   std::size_t num_nodes_;
+  bool lent_slot0_ = false; ///< construction lent executor slot 0
 
   mutable std::mutex mu_;
   bool closed_ = false;

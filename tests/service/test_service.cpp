@@ -1,7 +1,8 @@
 // oss::service + H264DecService: admission control, per-stream
-// backpressure (block vs fail-fast), mid-stream close/drain hygiene, and
+// backpressure (block vs fail-fast), mid-stream close/drain hygiene,
 // per-stream checksum parity with the sequential decoder under concurrent
-// streams.  This binary also runs in the env matrix (run_matrix.sh phase 2)
+// streams, and the executor slot-0 loan a Service takes on the owning
+// thread.  This binary also runs in the env matrix (run_matrix.sh phase 2)
 // across scheduler × dep-shard × pool combinations.
 #include "apps/h264dec/h264dec_service.hpp"
 #include "service/service.hpp"
@@ -9,9 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <future>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -328,6 +332,288 @@ TEST(H264DecService, SessionsAreRejectedAtCapacity) {
   EXPECT_EQ(why, Reject::Capacity);
   a->close();
   EXPECT_TRUE(svc.open("b", w, &why));
+}
+
+// --- executor slot 0 loan ----------------------------------------------------
+
+/// Where a task ran: its thread and Runtime::current_worker() inside it.
+struct RanOn {
+  std::thread::id thread;
+  int worker = -2;
+};
+
+/// Spawns one task from the calling thread and waits for it *outside* the
+/// runtime (a plain sleep loop, like an owner blocked in join), so only an
+/// executor slot can run it.
+RanOn run_one_unhelped(oss::Runtime& rt) {
+  RanOn on;
+  std::atomic<bool> done{false};
+  rt.task("probe").spawn([&] {
+    on = {std::this_thread::get_id(), oss::Runtime::current_worker()};
+    done.store(true, std::memory_order_release);
+  });
+  while (!done.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  rt.taskwait();
+  return on;
+}
+
+// Regression: with one executor, a Service whose frames come from a foreign
+// thread while the owning thread waits in join used to hang (the only slot
+// was the joining owner).  The wait is bounded: on timeout the test fails
+// and the owner drains the runtime itself so the submitter can finish.
+TEST(H264DecService, ForeignSubmitterDecodesWhileOwnerJoinsOnOneExecutor) {
+  const auto w = apps::H264Workload::make(benchcore::Scale::Tiny);
+  const auto expected = apps::h264dec_seq(w);
+
+  oss::Runtime rt(rt_config(1));
+  Config cfg;
+  cfg.window = 2;
+  apps::H264DecService svc(rt, cfg);
+  auto session = svc.open("s0", w);
+  ASSERT_TRUE(session);
+
+  std::promise<void> finished;
+  std::future<void> done = finished.get_future();
+  std::atomic<bool> all_admitted{true};
+  std::thread submitter([&] {
+    for (const auto& frame : w.video.frames) {
+      if (!session->submit(frame, Submit::Block)) all_admitted.store(false);
+    }
+    session->finish();
+    finished.set_value();
+  });
+  if (done.wait_for(std::chrono::seconds(20)) != std::future_status::ready) {
+    ADD_FAILURE() << "no executor ran the foreign thread's frames in 20 s";
+    while (done.wait_for(std::chrono::milliseconds(1)) !=
+           std::future_status::ready) {
+      rt.barrier();
+    }
+  }
+  submitter.join();
+  EXPECT_TRUE(all_admitted.load());
+  EXPECT_EQ(session->checksums(), expected);
+  EXPECT_LE(session->window().peak(), 2u);
+  session->close();
+}
+
+TEST(ServiceSlotLoan, StandInRunsSlotZeroUntilTheServiceIsDestroyed) {
+  oss::Runtime rt(rt_config(1));
+  const std::thread::id owner = std::this_thread::get_id();
+  ASSERT_EQ(oss::Runtime::current(), &rt);
+  ASSERT_EQ(oss::Runtime::current_worker(), 0);
+  {
+    Service svc(rt, Config{});
+    // The owner is a foreign thread while the slot is lent...
+    EXPECT_EQ(oss::Runtime::current(), nullptr);
+    EXPECT_EQ(oss::Runtime::current_worker(), -1);
+    // ...and slot 0 runs on another thread while the owner waits elsewhere.
+    const RanOn on = run_one_unhelped(rt);
+    EXPECT_NE(on.thread, owner);
+    EXPECT_EQ(on.worker, 0);
+    EXPECT_GE(rt.stats().per_worker_executed.at(0), 1u);
+  }
+  EXPECT_EQ(oss::Runtime::current(), &rt);
+  EXPECT_EQ(oss::Runtime::current_worker(), 0);
+  // Back as worker 0, the owner runs its own task when it waits.
+  std::thread::id ran;
+  rt.task("after").spawn([&] { ran = std::this_thread::get_id(); });
+  rt.taskwait();
+  EXPECT_EQ(ran, owner);
+}
+
+TEST(ServiceSlotLoan, ReplayedChainRunsInlineAgainAfterReclaim) {
+  oss::RuntimeConfig cfg = rt_config(4);
+  if (cfg.scheduler == oss::SchedulerPolicy::Fifo) {
+    GTEST_SKIP() << "fifo never keeps a released successor";
+  }
+  constexpr std::size_t kLinks = 2000;
+  oss::Runtime rt(cfg);
+  std::uint64_t token = 0;
+  std::atomic<std::size_t> done{0};
+  const auto body = [&](std::size_t i) -> oss::Task::Fn {
+    return [&token, &done, i] {
+      token = token * 3 + i;
+      done.fetch_add(1, std::memory_order_relaxed);
+    };
+  };
+  oss::ReplayGraph graph;
+  {
+    oss::GraphCapture cap(rt);
+    for (std::size_t i = 0; i < kLinks; ++i) {
+      rt.task("link").inout(token).spawn(body(i));
+    }
+    graph = cap.finish();
+    rt.taskwait();
+  }
+  {
+    Service svc(rt, Config{});
+    // Lent: the owner is a non-worker thread, so replay() only submits.
+    rt.replay(graph, body);
+    rt.taskwait();
+    EXPECT_EQ(done.load(), 2 * kLinks);
+  }
+  done.store(0);
+  const oss::StatsSnapshot before = rt.stats();
+  rt.replay(graph, body);
+  // Worker 0 again: the whole chain ran inside replay(), unpublished.
+  EXPECT_EQ(done.load(), kLinks);
+  rt.taskwait();
+  const oss::StatsSnapshot after = rt.stats();
+  EXPECT_EQ(after.local_pops - before.local_pops, kLinks);
+  EXPECT_EQ(after.wakeups - before.wakeups, 0u);
+  std::uint64_t want = 0;
+  for (int it = 0; it < 3; ++it) {
+    for (std::size_t i = 0; i < kLinks; ++i) want = want * 3 + i;
+  }
+  EXPECT_EQ(token, want);
+}
+
+TEST(ServiceSlotLoan, TwoServicesShareOneStandIn) {
+  oss::Runtime rt(rt_config(1));
+  std::optional<Service> a(std::in_place, rt, Config{});
+  const RanOn first = run_one_unhelped(rt);
+  {
+    Service b(rt, Config{});
+    const RanOn second = run_one_unhelped(rt);
+    EXPECT_EQ(second.thread, first.thread);
+    EXPECT_EQ(second.worker, 0);
+  }
+  // One loan is still out: the stand-in keeps the slot.
+  EXPECT_EQ(oss::Runtime::current_worker(), -1);
+  EXPECT_EQ(run_one_unhelped(rt).thread, first.thread);
+  a.reset();
+  EXPECT_EQ(oss::Runtime::current(), &rt);
+  EXPECT_EQ(oss::Runtime::current_worker(), 0);
+}
+
+TEST(ServiceSlotLoan, ServiceDestroyedOnForeignThreadLetsRuntimeDie) {
+  {
+    oss::Runtime rt(rt_config(1));
+    auto svc = std::make_unique<Service>(rt, Config{});
+    std::thread([&] { svc.reset(); }).join();
+    // Not reclaimed off the owning thread: the stand-in still serves, and
+    // the destructor below joins it.
+    EXPECT_EQ(oss::Runtime::current(), nullptr);
+    EXPECT_EQ(run_one_unhelped(rt).worker, 0);
+  }
+  EXPECT_EQ(oss::Runtime::current(), nullptr);
+
+  // A later Service on the owning thread joins the running stand-in, and
+  // its destruction there hands the slot back.
+  oss::Runtime rt(rt_config(2));
+  auto svc = std::make_unique<Service>(rt, Config{});
+  std::thread([&] { svc.reset(); }).join();
+  { Service again(rt, Config{}); }
+  EXPECT_EQ(oss::Runtime::current(), &rt);
+  EXPECT_EQ(oss::Runtime::current_worker(), 0);
+}
+
+TEST(ServiceSlotLoan, ServiceInsideTaskOrOnForeignThreadLendsNothing) {
+  oss::Runtime rt(rt_config(2));
+  std::atomic<int> lent{0};
+  std::atomic<int> worker_inside{-2};
+  rt.task("nested").spawn([&] {
+    if (rt.lend_slot0()) lent.fetch_add(1);
+    Service inner(rt, Config{});
+    worker_inside.store(oss::Runtime::current_worker());
+  });
+  rt.taskwait();
+  EXPECT_GE(worker_inside.load(), 0); // still the executor that ran it
+  std::thread([&] {
+    if (rt.lend_slot0()) lent.fetch_add(1);
+    Service outside(rt, Config{});
+    StreamPtr s = outside.open("foreign");
+    ASSERT_TRUE(s);
+    int v = 0;
+    s->task("work").spawn([&v] { v = 9; });
+    s->drain();
+    EXPECT_EQ(v, 9);
+  }).join();
+  EXPECT_EQ(lent.load(), 0);
+  EXPECT_EQ(oss::Runtime::current(), &rt);
+  EXPECT_EQ(oss::Runtime::current_worker(), 0);
+}
+
+TEST(ServiceSlotLoan, TraceRowsFollowTheSlot) {
+  oss::RuntimeConfig cfg = rt_config(1);
+  cfg.trace_mode = oss::TraceMode::Full;
+  oss::Runtime rt(cfg);
+  std::uint64_t lent = 0;
+  {
+    Service svc(rt, Config{});
+    std::atomic<bool> done{false};
+    lent = rt.task("lent").spawn([&done] { done.store(true); }).id();
+    while (!done.load()) std::this_thread::yield();
+    rt.taskwait();
+  }
+  const std::uint64_t back = rt.task("back").spawn([] {}).id();
+  rt.taskwait();
+  oss::TraceSystem* trace = rt.trace_system();
+  ASSERT_NE(trace, nullptr);
+  int checked = 0;
+  for (const auto& m : trace->merged_events()) {
+    const bool spawn = m.ev.kind == oss::TraceEventKind::Spawn;
+    const bool run = m.ev.kind == oss::TraceEventKind::RunSpan;
+    if (m.ev.task == lent && spawn) {
+      // The lending owner emits on a spawner row of its own...
+      EXPECT_GE(m.tid, oss::TraceSystem::kForeignBase);
+      ++checked;
+    } else if (m.ev.task == lent && run) {
+      EXPECT_EQ(m.tid, 0); // ...while the stand-in runs slot 0.
+      ++checked;
+    } else if (m.ev.task == back && (spawn || run)) {
+      EXPECT_EQ(m.tid, 0); // the owner is worker 0 again
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 4);
+}
+
+TEST(ServiceSlotLoan, InOutProgramFromLendingOwnerMatchesSerial) {
+  constexpr std::size_t kCells = 16;
+  constexpr std::size_t kTasks = 600;
+  // Task i reads cell a, writes cell b and updates cell c.
+  struct Op {
+    std::size_t a, b, c;
+  };
+  std::vector<Op> ops;
+  std::uint64_t seed = 20;
+  const auto next = [&seed] {
+    seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<std::size_t>(seed >> 33) % kCells;
+  };
+  for (std::size_t i = 0; i < kTasks; ++i) ops.push_back({next(), next(), next()});
+  const auto apply = [](const Op& op, std::size_t i, std::uint64_t* cell) {
+    const std::uint64_t in = cell[op.a];
+    cell[op.b] = in * 31 + i;
+    cell[op.c] = cell[op.c] * 7 + (in ^ i);
+  };
+  std::uint64_t serial[kCells] = {};
+  for (std::size_t i = 0; i < kTasks; ++i) apply(ops[i], i, serial);
+
+  oss::Runtime rt(rt_config(4));
+  Service svc(rt, Config{});
+  ASSERT_EQ(oss::Runtime::current_worker(), -1);
+  for (int round = 0; round < 3; ++round) {
+    std::uint64_t cell[kCells] = {};
+    for (std::size_t i = 0; i < kTasks; ++i) {
+      const Op op = ops[i];
+      // One declaration per distinct cell: read-only a is in, write-only b
+      // is out, anything else (c, or a cell named twice) is inout.
+      auto t = rt.task("op");
+      if (op.a != op.b && op.a != op.c) t.in(cell[op.a]);
+      if (op.b != op.a && op.b != op.c) t.out(cell[op.b]);
+      t.inout(cell[op.c]);
+      if (op.a == op.b && op.a != op.c) t.inout(cell[op.a]);
+      t.spawn([&cell, op, i, &apply] { apply(op, i, cell); });
+    }
+    rt.taskwait();
+    for (std::size_t k = 0; k < kCells; ++k) {
+      EXPECT_EQ(cell[k], serial[k]) << "round " << round << " cell " << k;
+    }
+  }
 }
 
 // --- knobs -------------------------------------------------------------------
