@@ -14,15 +14,22 @@
 //     N foreign threads (per-thread dependency chains over disjoint
 //     arenas), drained by a barrier.  What applications actually feel.
 //
+//   DomainRandomInsert/<regions> — one thread registers writers of that
+//     many distinct regions in random order into a fresh single-shard
+//     domain: the interval store's insert cost when nothing repeats (a
+//     flat sorted array would move half of it per insert).  Not gated.
+//
 // The sharded domain must beat the single-lock baseline at 4+ spawner
 // threads on multi-core machines; on a single core the contrast collapses
 // to lock-handoff overhead (the CI gate normalizes and only arms between
 // like machines — see bench/compare_bench.py and baseline_spawn.json).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <memory>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -139,7 +146,38 @@ void BM_SpawnScaling(benchmark::State& state) {
                  std::to_string(threads) + "t");
 }
 
+// --- tier 3: interval-store inserts ----------------------------------------
+
+void BM_DomainRandomInsert(benchmark::State& state) {
+  const auto regions = static_cast<std::size_t>(state.range(0));
+  auto ctx = std::make_shared<oss::TaskContext>();
+  std::vector<char> arena(regions * 32);
+  std::vector<oss::TaskPtr> tasks;
+  tasks.reserve(regions);
+  for (std::size_t i = 0; i < regions; ++i) {
+    tasks.push_back(oss::make_task(
+        i + 1, [] {},
+        oss::AccessList{oss::region(arena.data() + i * 32, 16, oss::Mode::Out)},
+        ctx, ""));
+  }
+  std::shuffle(tasks.begin(), tasks.end(), std::mt19937(42));
+  for (auto _ : state) {
+    oss::DepDomain domain(1);
+    for (const oss::TaskPtr& t : tasks) domain.register_task(t, nullptr);
+    benchmark::DoNotOptimize(domain.entry_count());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                    regions));
+}
+
 } // namespace
+
+BENCHMARK(BM_DomainRandomInsert)
+    ->Name("DomainRandomInsert")
+    ->Arg(10000)
+    ->Arg(100000)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_DomainChurn)
     ->Name("DomainChurn")

@@ -11,7 +11,8 @@
 //                     is alive) + N-1 pool workers.  Default: hardware
 //                     concurrency.
 //   OSS_SCHEDULER     "locality" (default) | "fifo" | "wsteal".
-//   OSS_BARRIER       "poll" (default) | "block" — how taskwait/barrier wait.
+//   OSS_BARRIER       "poll" (default) | "block" — how taskwait/barrier wait
+//                     outside task bodies (inside one they always poll).
 //   OSS_IDLE          "park" (default) | "spin" | "yield" | "sleep" — idle
 //                     workers.
 //   OSS_SPIN_ROUNDS   busy-poll iterations before an idle worker
@@ -68,8 +69,8 @@
 //                     workers and the oldest in-flight tasks to stderr;
 //                     the same dump answers SIGUSR1.  0 (default) = off.
 //   OSS_POOL          "on" (default) | "off" — allocation recycling
-//                     (docs/memory.md): intrusive task pooling, pooled
-//                     dependency-map nodes.  "off" restores per-spawn
+//                     (docs/memory.md): intrusive task pooling.  "off"
+//                     restores per-spawn
 //                     `new`/`delete` with bit-exact dependency semantics —
 //                     the escape hatch and the A/B baseline.
 //
@@ -97,7 +98,9 @@ enum class SchedulerPolicy {
 enum class WaitPolicy {
   Polling,  ///< spin and execute ready tasks (paper's default; fast, cores
             ///< stay fully loaded)
-  Blocking, ///< sleep on a condition variable (paper's Pthreads-style barrier)
+  Blocking, ///< sleep on a condition variable (paper's Pthreads-style
+            ///< barrier); a wait inside a task body still polls, or the
+            ///< children it waits for could find no executor
 };
 
 /// How idle *workers* behave between tasks.  The paper (§4) observes that
@@ -215,7 +218,7 @@ struct RuntimeConfig {
   std::size_t pressure = 8;
 
   /// Dependency-domain shard count (OSS_DEP_SHARDS): declared address
-  /// ranges hash to this many independently-locked interval maps, so
+  /// ranges hash to this many independently-locked interval stores, so
   /// concurrent spawners touching disjoint regions register without
   /// contending.  Must be a power of two in [1, 256]; 1 collapses to the
   /// classic single-lock domain (bit-exact edge sets — the escape hatch).
@@ -223,8 +226,8 @@ struct RuntimeConfig {
   std::size_t dep_shards = 8;
 
   /// Allocation recycling (OSS_POOL, docs/memory.md): pooled Task objects
-  /// with intrusive refcounts and pooled dependency-map nodes, making the
-  /// warmed spawn→execute→retire cycle allocation-free.  false restores
+  /// with intrusive refcounts, making the warmed spawn→execute→retire cycle
+  /// allocation-free.  false restores
   /// plain `new`/`delete` per task (bit-exact dependency semantics).  The
   /// default is environment-sensitive so suites constructing RuntimeConfig
   /// directly still honor an OSS_POOL=off sweep.

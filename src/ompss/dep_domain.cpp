@@ -1,5 +1,7 @@
 #include "ompss/dep_domain.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <unordered_set>
 
 #include "ompss/trace.hpp"
@@ -66,11 +68,10 @@ std::size_t round_up_pow2(std::size_t n) {
 /// the spill set is authoritative beyond that), which the OSS_POOL=off
 /// parity guarantee depends on.
 ///
-/// Producer pointers are compared, never dereferenced, after add_edge —
-/// and no producer can retire *and be recycled into a new task visible to
-/// this registration* while it runs: every shard the registration touches
-/// stays locked for its whole duration, so no concurrent registration can
-/// install a recycled task into an entry this one will visit.
+/// Producers are plain pointers out of current-generation entries, so each
+/// is alive: the shard that names it retains it, and every shard the
+/// registration touches stays locked for its whole duration — no quiesce
+/// or sweep can release a producer this registration will visit.
 struct DepDomain::RegCtx {
   RegCtx(const TaskPtr& t, const EdgeSink& s, TraceSystem* tr)
       : task(t), sink(s), trace(tr) {}
@@ -129,19 +130,19 @@ struct DepDomain::RegCtx {
     }
   }
 
-  void add_edge(const TaskPtr& producer, DepKind kind, std::uint64_t bytes) {
-    if (!producer || producer.get() == task.get()) return;
+  void add_edge(Task* producer, DepKind kind, std::uint64_t bytes) {
+    if (producer == nullptr || producer == task.get()) return;
     vote(producer->home_node(), bytes);
     // A retired producer needs no edge and can never need one later in
     // this registration (finished is monotonic), so it skips the dedup
     // scan and the successor lock.  It has voted above: the edge set and
     // the inherited home both come out as if it had been recorded.
     if (producer->finished()) return;
-    if (!seen_insert(producer.get())) return;
+    if (!seen_insert(producer)) return;
     if (!producer->add_successor_edge(task)) {
       return; // already retired: no edge needed
     }
-    if (sink) sink(producer, task, kind);
+    if (sink) sink(TaskPtr::share(producer), task, kind);
     if (trace) {
       trace->emit_edge(producer->id(), task->id(),
                        static_cast<std::uint8_t>(kind));
@@ -172,7 +173,8 @@ struct DepDomain::RegCtx {
   }
 };
 
-DepDomain::DepDomain(std::size_t shards, bool pooled) {
+DepDomain::DepDomain(std::size_t shards, std::size_t sweep_floor)
+    : sweep_floor_(sweep_floor) {
   // Clamp BEFORE rounding: rounding first would loop forever for counts
   // above 2^63 (p doubles past the top bit and wraps to 0).
   std::size_t n = shards == 0 ? 1 : shards;
@@ -180,7 +182,7 @@ DepDomain::DepDomain(std::size_t shards, bool pooled) {
   n = round_up_pow2(n);
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
-    shards_.push_back(std::make_unique<Shard>(pooled));
+    shards_.push_back(std::make_unique<Shard>());
   mask_ = n - 1;
 }
 
@@ -193,43 +195,143 @@ std::size_t DepDomain::shard_of(std::uintptr_t addr) const noexcept {
          mask_;
 }
 
-DepDomain::Map::iterator DepDomain::split(Map& map, Map::iterator it,
-                                          std::uintptr_t at) {
-  // [s, end) with s < at < end  becomes  [s, at) + [at, end), both carrying
-  // the same history (shared comm_lock keeps group exclusion intact).
-  Entry right = it->second; // copy history
-  it->second.end = at;
-  auto [nit, inserted] = map.emplace(at, std::move(right));
-  (void)inserted;
-  return nit;
+void DepDomain::Entry::forget(std::uint64_t g) noexcept {
+  gen = g;
+  last_writer = nullptr;
+  group_mode = Mode::In;
+  group_open = false;
+  group.clear();
+  comm_lock.reset();
+  readers.clear();
+  epoch_writers.clear();
+  epoch_readers.clear();
 }
 
-void DepDomain::register_range(Map& map, std::uintptr_t begin,
+// ---------------------------------------------------------------------------
+// Store
+// ---------------------------------------------------------------------------
+
+DepDomain::Store::Pos DepDomain::Store::find(
+    std::uintptr_t begin) const noexcept {
+  // The last leaf starting at or before `begin`, then its last entry
+  // starting at or before `begin`: that entry holds `begin` if any does.
+  const auto top = std::upper_bound(firsts_.begin(), firsts_.end(), begin);
+  if (top == firsts_.begin()) return {0, 0}; // empty, or all keys above
+  const std::size_t leaf = static_cast<std::size_t>(top - firsts_.begin()) - 1;
+  const std::vector<std::uintptr_t>& keys = leaves_[leaf].keys;
+  const std::size_t slot = static_cast<std::size_t>(
+      std::upper_bound(keys.begin(), keys.end(), begin) - keys.begin() - 1);
+  const Pos p{leaf, slot};
+  return at(p).end > begin ? p : next(p);
+}
+
+DepDomain::Store::Pos DepDomain::Store::prev(Pos p) const noexcept {
+  if (p.slot > 0) return {p.leaf, p.slot - 1};
+  return {p.leaf - 1, leaves_[p.leaf - 1].keys.size() - 1};
+}
+
+DepDomain::Store::Pos DepDomain::Store::insert(Pos p, std::uintptr_t key,
+                                               Entry&& e) {
+  // Every allocation happens before the first mutation, so a bad_alloc
+  // leaves the store as it was.
+  if (leaves_.empty()) {
+    firsts_.reserve(1);
+    leaves_.reserve(1);
+    Leaf first;
+    first.keys.push_back(key);
+    first.vals.push_back(std::move(e));
+    firsts_.push_back(key);
+    leaves_.push_back(std::move(first));
+    size_ = 1;
+    return {0, 0};
+  }
+  // Past the end, the key appends to the last leaf.  Between two leaves,
+  // the left one takes it while it has room, so ascending inserts append
+  // and the leaf index needs no update.
+  if (is_end(p)) {
+    p = {leaves_.size() - 1, leaves_.back().keys.size()};
+  } else if (p.slot == 0 && p.leaf > 0 &&
+             leaves_[p.leaf - 1].keys.size() < kLeafCap) {
+    p = {p.leaf - 1, leaves_[p.leaf - 1].keys.size()};
+  }
+  if (leaves_[p.leaf].keys.size() == kLeafCap) {
+    // Split the full leaf in halves.
+    constexpr std::size_t kHalf = kLeafCap / 2;
+    leaves_.reserve(leaves_.size() + 1);
+    firsts_.reserve(firsts_.size() + 1);
+    Leaf& full = leaves_[p.leaf];
+    Leaf right;
+    right.keys.reserve(kLeafCap);
+    right.vals.reserve(kLeafCap);
+    right.keys.assign(full.keys.begin() + kHalf, full.keys.end());
+    right.vals.assign(std::make_move_iterator(full.vals.begin() + kHalf),
+                      std::make_move_iterator(full.vals.end()));
+    full.keys.resize(kHalf);
+    full.vals.erase(full.vals.begin() + kHalf, full.vals.end());
+    firsts_.insert(firsts_.begin() + static_cast<std::ptrdiff_t>(p.leaf) + 1,
+                   right.keys.front());
+    leaves_.insert(leaves_.begin() + static_cast<std::ptrdiff_t>(p.leaf) + 1,
+                   std::move(right));
+    if (p.slot > kHalf) p = {p.leaf + 1, p.slot - kHalf};
+  }
+  Leaf& leaf = leaves_[p.leaf];
+  const auto at = static_cast<std::ptrdiff_t>(p.slot);
+  leaf.keys.insert(leaf.keys.begin() + at, key);
+  try {
+    leaf.vals.insert(leaf.vals.begin() + at, std::move(e));
+  } catch (...) {
+    leaf.keys.erase(leaf.keys.begin() + at);
+    throw;
+  }
+  if (p.slot == 0) firsts_[p.leaf] = key;
+  ++size_;
+  return p;
+}
+
+DepDomain::Store::Pos DepDomain::split(Store& st, Store::Pos p,
+                                       std::uintptr_t at) {
+  // [s, end) with s < at < end  becomes  [s, at) + [at, end), both carrying
+  // the same history (shared comm_lock keeps group exclusion intact).  The
+  // left piece shrinks only once the right one is in.
+  Entry right = st.at(p); // copy history
+  const Store::Pos r = st.insert(st.next(p), at, std::move(right));
+  st.at(st.prev(r)).end = at;
+  return r;
+}
+
+// ---------------------------------------------------------------------------
+// Registration
+// ---------------------------------------------------------------------------
+
+void DepDomain::register_range(Shard& sh, std::uintptr_t begin,
                                std::uintptr_t end, Mode mode, RegCtx& ctx) {
-  const TaskPtr& task = ctx.task;
+  Store& st = sh.store;
+  const std::uint64_t gen = sh.gen;
+  Task* const task = ctx.task.get();
 
   // Edges from the entry's current writer set (last writer or group).
   auto writer_set_edges = [&](Entry& e, DepKind kind, std::uint64_t bytes) {
     ctx.add_edge(e.last_writer, kind, bytes);
-    for (const TaskPtr& g : e.group) ctx.add_edge(g, kind, bytes);
+    for (Task* g : e.group) ctx.add_edge(g, kind, bytes);
   };
 
   // Applies the access mode to one fully-covered entry [entry_begin, e.end).
   auto apply = [&](Entry& e, std::uintptr_t entry_begin) {
+    if (e.gen != gen) e.forget(gen); // history of a forgotten generation
     const std::uint64_t bytes = e.end - entry_begin;
     switch (mode) {
       case Mode::In:
         writer_set_edges(e, DepKind::Raw, bytes);
         e.readers.push_back(task);
         e.group_open = false; // readers close groups (group stays as writer)
-        e.epoch_writers.clear(); // no more joiners: release the epoch refs
+        e.epoch_writers.clear(); // no more joiners: drop the epoch
         e.epoch_readers.clear();
         break;
 
       case Mode::Out:
       case Mode::InOut:
         writer_set_edges(e, DepKind::Waw, bytes);
-        for (const TaskPtr& r : e.readers) ctx.add_edge(r, DepKind::War, bytes);
+        for (Task* r : e.readers) ctx.add_edge(r, DepKind::War, bytes);
         e.last_writer = task;
         e.group.clear();
         e.group_open = false;
@@ -244,10 +346,8 @@ void DepDomain::register_range(Map& map, std::uintptr_t begin,
         if (e.group_open && e.group_mode == mode) {
           // Join the open group: unordered among members, but ordered after
           // the epoch that preceded the group — replay the starter's edges.
-          for (const TaskPtr& w : e.epoch_writers)
-            ctx.add_edge(w, DepKind::Waw, bytes);
-          for (const TaskPtr& r : e.epoch_readers)
-            ctx.add_edge(r, DepKind::War, bytes);
+          for (Task* w : e.epoch_writers) ctx.add_edge(w, DepKind::Waw, bytes);
+          for (Task* r : e.epoch_readers) ctx.add_edge(r, DepKind::War, bytes);
           e.group.push_back(task);
         } else {
           // Start a new group ordered after the previous epoch; snapshot
@@ -257,11 +357,11 @@ void DepDomain::register_range(Map& map, std::uintptr_t begin,
           // steady-state group churn stays allocation-free.
           e.epoch_writers.clear();
           if (e.last_writer) e.epoch_writers.push_back(e.last_writer);
-          for (const TaskPtr& g : e.group) e.epoch_writers.push_back(g);
+          for (Task* g : e.group) e.epoch_writers.push_back(g);
           writer_set_edges(e, DepKind::Waw, bytes);
-          for (const TaskPtr& r : e.readers) ctx.add_edge(r, DepKind::War, bytes);
+          for (Task* r : e.readers) ctx.add_edge(r, DepKind::War, bytes);
           e.epoch_readers.swap(e.readers);
-          e.last_writer.reset();
+          e.last_writer = nullptr;
           e.group.clear();
           e.group.push_back(task);
           e.group_mode = mode;
@@ -271,49 +371,122 @@ void DepDomain::register_range(Map& map, std::uintptr_t begin,
         }
         if (mode == Mode::Commutative) {
           if (!e.comm_lock) e.comm_lock = std::make_shared<std::mutex>();
-          task->add_exclusion_lock(e.comm_lock);
+          ctx.task->add_exclusion_lock(e.comm_lock);
         }
         break;
     }
   };
 
+  // A first touch of [from, to): a fresh entry of the current generation.
+  auto fresh = [&](Store::Pos before, std::uintptr_t from, std::uintptr_t to) {
+    Entry e;
+    e.end = to;
+    e.gen = gen;
+    const Store::Pos p = st.insert(before, from, std::move(e));
+    apply(st.at(p), from);
+    return p;
+  };
+
   std::uintptr_t cursor = begin;
-
-  // Locate the first entry that could overlap [begin, end).
-  auto it = map.lower_bound(begin);
-  if (it != map.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second.end > begin) it = prev;
-  }
-
+  Store::Pos p = st.find(begin);
   while (cursor < end) {
-    if (it == map.end() || it->first >= end) {
-      // Tail gap [cursor, end): no history — first touch.
-      Entry fresh;
-      fresh.end = end;
-      it = map.emplace_hint(it, cursor, std::move(fresh));
-      apply(it->second, cursor);
-      cursor = end;
+    if (st.is_end(p) || st.key(p) >= end) {
+      fresh(p, cursor, end); // tail gap: no history
       break;
     }
-
-    if (it->first > cursor) {
-      // Gap [cursor, it->first): first touch for this sub-range.
-      Entry fresh;
-      fresh.end = it->first;
-      auto git = map.emplace_hint(it, cursor, std::move(fresh));
-      apply(git->second, cursor);
-      cursor = it->first;
+    const std::uintptr_t key = st.key(p);
+    if (key > cursor) {
+      // Gap [cursor, key): first touch for this sub-range.
+      p = st.next(fresh(p, cursor, key));
+      cursor = key;
       continue;
     }
+    // Here key <= cursor and the entry overlaps the access.
+    if (key < cursor) p = split(st, p, cursor);
+    if (st.at(p).end > end) p = st.prev(split(st, p, end));
+    // Now the entry at p lies fully inside the access.
+    Entry& e = st.at(p);
+    apply(e, cursor);
+    cursor = e.end;
+    p = st.next(p);
+  }
+}
 
-    // Here it->first <= cursor and the entry overlaps the access.
-    if (it->first < cursor) it = split(map, it, cursor);
-    if (it->second.end > end) split(map, it, end);
-    // Now [it->first, it->second.end) lies fully inside the access.
-    apply(it->second, it->first);
-    cursor = it->second.end;
-    ++it;
+void DepDomain::after_register(Shard& sh) {
+  const std::size_t threshold =
+      std::max({sweep_floor_, 2 * sh.store.size(), sh.sweep_at});
+  if (sh.retained.size() > threshold) sweep(sh);
+}
+
+void DepDomain::sweep(Shard& sh) {
+  // A finished producer without a home can add no edge and cast no vote:
+  // dropping it from an entry changes nothing a later registration sees.
+  const auto keep = [](const Task* t) {
+    return t->home_node() >= 0 || !t->finished();
+  };
+  std::vector<const Task*>& named = sh.named;
+  named.clear();
+  const auto prune = [&](std::vector<Task*>& v) {
+    v.erase(std::remove_if(v.begin(), v.end(),
+                           [&](const Task* t) { return !keep(t); }),
+            v.end());
+    named.insert(named.end(), v.begin(), v.end());
+  };
+  const std::uint64_t gen = sh.gen;
+  sh.store.for_each([&](Entry& e) {
+    if (e.gen != gen) return;
+    if (e.last_writer != nullptr) {
+      if (keep(e.last_writer)) {
+        named.push_back(e.last_writer);
+      } else {
+        e.last_writer = nullptr;
+      }
+    }
+    prune(e.group);
+    prune(e.readers);
+    prune(e.epoch_writers);
+    prune(e.epoch_readers);
+  });
+  std::sort(named.begin(), named.end());
+  named.erase(std::unique(named.begin(), named.end()), named.end());
+
+  // Release, in place, every retained task no entry names.
+  std::size_t kept = 0;
+  for (TaskPtr& t : sh.retained) {
+    if (std::binary_search(named.begin(), named.end(), t.get())) {
+      if (&sh.retained[kept] != &t) sh.retained[kept] = std::move(t);
+      ++kept;
+    } else {
+      t.reset();
+    }
+  }
+  sh.retained.resize(kept);
+  // Survivors are live or homed: sweep again only once the list doubled,
+  // so a domain full of unfinished tasks does not sweep per registration.
+  sh.sweep_at = 2 * kept;
+}
+
+void DepDomain::quiesce(const std::function<bool()>& quiescent,
+                        bool keep_homed) {
+  for (const auto& shard : shards_) {
+    Shard& sh = *shard;
+    std::lock_guard lock(sh.mu);
+    if (sh.retained.empty()) continue; // nothing registered since
+    // Re-checked under the lock: a spawner that got in after the caller's
+    // check has counted its task before registering it here.
+    if (!quiescent()) return;
+    const bool homed =
+        keep_homed && std::any_of(sh.retained.begin(), sh.retained.end(),
+                                  [](const TaskPtr& t) {
+                                    return t->home_node() >= 0;
+                                  });
+    if (homed) {
+      sweep(sh); // every producer finished: keeps only the homed ones
+      continue;
+    }
+    ++sh.gen;              // every entry now reads as empty history
+    sh.retained.clear();   // in place: the capacity serves the next round
+    sh.sweep_at = 0;
   }
 }
 
@@ -346,13 +519,17 @@ RegisterReceipt DepDomain::register_task(const TaskPtr& task,
     }
     receipt.shards_touched = 1;
     try {
+      // Retained before any entry names it: every task a current entry
+      // names is kept alive by this shard.
+      sh.retained.push_back(task);
       for (const Access& acc : task->accesses()) {
         if (acc.empty()) continue;
-        register_range(sh.map, acc.begin, acc.end, acc.mode, ctx);
+        register_range(sh, acc.begin, acc.end, acc.mode, ctx);
       }
       ctx.finalize_inheritance();
+      after_register(sh);
     } catch (...) {
-      // bad_alloc in the map or a throwing sink must not leak the shard
+      // bad_alloc in the store or a throwing sink must not leak the shard
       // lock — that would wedge every later spawn touching it.
       sh.mu.unlock();
       throw;
@@ -418,23 +595,26 @@ RegisterReceipt DepDomain::register_task(const TaskPtr& task,
     }
   }
 
-  // Lock in ascending shard-id order (bitmap scan), counting contention.
-  for (std::size_t word = 0; word < 4; ++word) {
-    std::uint64_t bits = shard_bits[word];
-    while (bits != 0) {
-      const auto bit = static_cast<unsigned>(__builtin_ctzll(bits));
-      bits &= bits - 1;
-      Shard& sh = *shards_[(word << 6) | bit];
-      if (!sh.mu.try_lock()) {
-        receipt.contended = true;
-        sh.mu.lock();
+  // The touched shards in ascending shard-id order (bitmap scan).
+  auto for_each_touched = [&](auto&& f) {
+    for (std::size_t word = 0; word < 4; ++word) {
+      for (std::uint64_t bits = shard_bits[word]; bits != 0; bits &= bits - 1) {
+        f(*shards_[(word << 6) | static_cast<unsigned>(__builtin_ctzll(bits))]);
       }
-      ++receipt.shards_touched;
     }
-  }
+  };
+
+  // Lock in ascending shard-id order, counting contention.
+  for_each_touched([&](Shard& sh) {
+    if (!sh.mu.try_lock()) {
+      receipt.contended = true;
+      sh.mu.lock();
+    }
+    ++receipt.shards_touched;
+  });
 
   // Unlock in descending order (reverse bitmap scan); also the exception
-  // path — bad_alloc in a map or a throwing sink must not leak the locks.
+  // path — bad_alloc in a store or a throwing sink must not leak the locks.
   auto unlock_all = [&] {
     for (std::size_t word = 4; word-- > 0;) {
       std::uint64_t bits = shard_bits[word];
@@ -449,12 +629,14 @@ RegisterReceipt DepDomain::register_task(const TaskPtr& task,
   // Pieces run in declaration order (mode sequences against the same
   // region must replay exactly as the unsharded domain would).
   try {
+    for_each_touched([&](Shard& sh) { sh.retained.push_back(task); });
     const Piece* pieces = spill.empty() ? inline_pieces : spill.data();
     for (std::size_t i = 0; i < n_pieces; ++i) {
       const Piece& p = pieces[i];
-      register_range(shards_[p.shard]->map, p.begin, p.end, p.mode, ctx);
+      register_range(*shards_[p.shard], p.begin, p.end, p.mode, ctx);
     }
     ctx.finalize_inheritance();
+    for_each_touched([&](Shard& sh) { after_register(sh); });
   } catch (...) {
     unlock_all();
     throw;
@@ -472,25 +654,21 @@ void DepDomain::collect_overlapping(std::uintptr_t begin, std::uintptr_t end,
   // stripes hash to, but scanning every shard for the range is simpler and
   // the wait set is not a hot path.  Shards are locked one at a time: the
   // wait-set contract only covers previously spawned siblings, so no
-  // cross-shard atomicity is needed.
+  // cross-shard atomicity is needed.  Only current-generation entries are
+  // read; their tasks are retained by the locked shard.
+  const auto add = [&](Task* t) {
+    if (t != nullptr && !t->finished()) out.push_back(TaskPtr::share(t));
+  };
   for (const auto& shard : shards_) {
     std::lock_guard lock(shard->mu);
-    const Map& map = shard->map;
-    auto it = map.lower_bound(begin);
-    if (it != map.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second.end > begin) it = prev;
-    }
-    for (; it != map.end() && it->first < end; ++it) {
-      const Entry& e = it->second;
-      if (e.last_writer && !e.last_writer->finished())
-        out.push_back(e.last_writer);
-      for (const TaskPtr& g : e.group) {
-        if (g && !g->finished()) out.push_back(g);
-      }
-      for (const TaskPtr& r : e.readers) {
-        if (r && !r->finished()) out.push_back(r);
-      }
+    const Store& st = shard->store;
+    for (Store::Pos p = st.find(begin); !st.is_end(p) && st.key(p) < end;
+         p = st.next(p)) {
+      const Entry& e = st.at(p);
+      if (e.gen != shard->gen) continue;
+      add(e.last_writer);
+      for (Task* g : e.group) add(g);
+      for (Task* r : e.readers) add(r);
     }
   }
 }
@@ -499,7 +677,16 @@ std::size_t DepDomain::entry_count() const {
   std::size_t n = 0;
   for (const auto& shard : shards_) {
     std::lock_guard lock(shard->mu);
-    n += shard->map.size();
+    n += shard->store.size();
+  }
+  return n;
+}
+
+std::size_t DepDomain::retained_count() const {
+  std::size_t n = 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard lock(shard->mu);
+    n += shard->retained.size();
   }
   return n;
 }

@@ -285,7 +285,7 @@ void Runtime::replay(const ReplayGraph& graph,
   ready.reserve(n);
 
   // Phase 1: create every task, pre-wired from the frozen structure — no
-  // DepDomain shard is ever visited (no interval-map lookup, no shard lock,
+  // DepDomain shard is ever visited (no interval lookup, no shard lock,
   // no register_task).  The per-task shared counters are paid once per
   // replay: n ids reserved in one add, n children and n pending tasks
   // added before the first task exists, pool hits added after the loop.
@@ -302,8 +302,8 @@ void Runtime::replay(const ReplayGraph& graph,
                                                   : -1;
   const std::uint64_t first_id =
       next_task_id_.fetch_add(n, std::memory_order_relaxed) + 1;
-  root_ctx_->live_children.fetch_add(n, std::memory_order_acq_rel);
-  pending_.fetch_add(n, std::memory_order_acq_rel);
+  root_ctx_->spawned.fetch_add(n, std::memory_order_acq_rel);
+  spawned_.fetch_add(n, std::memory_order_acq_rel);
   std::uint64_t recycled = 0;
   try {
     // Everything that can throw (the binder, the pool or the allocator)
@@ -351,10 +351,11 @@ void Runtime::replay(const ReplayGraph& graph,
     }
   } catch (...) {
     // Nothing was published or wired: each task drops its only reference
-    // and recycles unrun, and the counters added above are taken back.
+    // and recycles unrun, and the spawn counts added above are balanced
+    // (the counters only grow, so the unrun tasks count as retired).
     created.clear();
-    pending_.fetch_sub(n, std::memory_order_acq_rel);
-    root_ctx_->live_children.fetch_sub(n, std::memory_order_acq_rel);
+    retired_.fetch_add(n, std::memory_order_acq_rel);
+    root_ctx_->retired.fetch_add(n, std::memory_order_acq_rel);
     throw;
   }
   if (cfg_.pool) stats_.add_pool_acquires(recycled, n - recycled);

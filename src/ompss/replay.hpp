@@ -2,7 +2,7 @@
 //
 // Iterative workloads (the paper's pipelines, PopART-style op graphs) run
 // the *same* task graph every iteration, yet each iteration pays sharded
-// interval-map dependency resolution from scratch.  This subsystem memoizes
+// interval-store dependency resolution from scratch.  This subsystem memoizes
 // one iteration's resolved structure and re-submits it as an array walk:
 //
 //   oss::GraphCapture cap(rt);          // capture scope opens

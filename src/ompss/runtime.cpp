@@ -137,7 +137,7 @@ int Runtime::current_worker() noexcept { return tl_binding.worker; }
 Runtime::Runtime(RuntimeConfig cfg)
     : cfg_(cfg),
       num_threads_(cfg.resolved_threads()),
-      root_ctx_(std::make_shared<TaskContext>(cfg.dep_shards, cfg.pool)),
+      root_ctx_(std::make_shared<TaskContext>(cfg.dep_shards)),
       topo_(cfg.resolved_topology()),
       scheduler_(Scheduler::create(cfg.scheduler, num_threads_,
                                    cfg.steal_tries, topo_, cfg.numa,
@@ -290,7 +290,7 @@ void Runtime::collector_loop() {
 
     if (cfg_.watchdog_ms > 0 && now >= watch_due) {
       const std::uint64_t executed = stats_.snapshot().tasks_executed;
-      const std::size_t inflight = pending_.load(std::memory_order_acquire);
+      const std::size_t inflight = pending_tasks();
       if (inflight > 0 && executed == watch_last_executed) {
         // Tasks in flight, zero retirements for a whole interval: stalled.
         // One dump per stall episode — the flag resets on any progress.
@@ -413,6 +413,9 @@ Runtime::~Runtime() {
   for (auto& w : workers_) w.join();
   // A loan never reclaimed on the owning thread ends here.
   if (standin_.joinable()) standin_.join();
+  // No root task will register again: drop the homed producers the
+  // barrier kept, so the root context is not kept alive by its own tasks.
+  root_ctx_->quiesce(/*closing=*/true);
   // Final drain after every producer thread is gone, then the deferred
   // export (trace_to / OSS_TRACE_OUT).  Failures warn — a missing trace
   // file must never take the process down in a destructor.
@@ -595,8 +598,8 @@ TaskHandle Runtime::spawn_task(TaskSpec spec, Task::Fn fn) {
   TaskContext& parent = *task->parent_context();
   task->set_priority(spec.priority);
   task->set_undeferred(!spec.deferred);
-  parent.live_children.fetch_add(1, std::memory_order_acq_rel);
-  pending_.fetch_add(1, std::memory_order_acq_rel);
+  parent.spawned.fetch_add(1, std::memory_order_acq_rel);
+  spawned_.fetch_add(1, std::memory_order_acq_rel);
 
   if (graph_) graph_->add_node(id, task->label());
   if (trace_) task->set_trace_label(trace_->intern(task->label()));
@@ -764,6 +767,12 @@ TaskPtr Runtime::execute(const TaskPtr& t, int wid) {
   }
   for (auto it = locks.rbegin(); it != locks.rend(); ++it) (*it)->unlock();
   t->release_body(); // handles may outlive the task; free captures now
+  // Only the body spawns into its child context: once it returned, the
+  // context is closed, and if its children are done too it need not keep
+  // any of them (they would keep it alive).
+  if (const ContextPtr& c = t->child_context_if_any()) {
+    c->quiesce(/*closing=*/true);
+  }
   if (trace_) trace_->emit_run(t->id(), t->trace_label(), t0);
 
   std::uint64_t exec_ticks = 0;
@@ -891,10 +900,10 @@ TaskPtr Runtime::on_finished(const TaskPtr& t, int wid,
 
   // Child-count updates must happen after the graph bookkeeping so a
   // taskwait that observes zero children also observes the final graph.
-  // pending_ drops first, so that taskwait also reads pending_tasks()
-  // without those children.
-  pending_.fetch_sub(1, std::memory_order_acq_rel);
-  t->parent_context()->live_children.fetch_sub(1, std::memory_order_acq_rel);
+  // The runtime-wide count goes first, so that taskwait also reads
+  // pending_tasks() without those children.
+  retired_.fetch_add(1, std::memory_order_acq_rel);
+  t->parent_context()->retired.fetch_add(1, std::memory_order_acq_rel);
 
   if (blocked_waiters_.load(std::memory_order_acquire) > 0) {
     std::lock_guard lock(cv_mu_);
@@ -1025,13 +1034,18 @@ void Runtime::wake_workers(std::size_t n, int preferred_node) {
 // ---------------------------------------------------------------------------
 
 void Runtime::wait_until(const std::function<bool()>& done) {
-  const int wid = (tl_binding.rt == this) ? tl_binding.worker : -1;
+  const bool bound = tl_binding.rt == this;
+  const int wid = bound ? tl_binding.worker : -1;
+  const bool in_task = bound && tl_binding.current_task != nullptr;
 
-  if (cfg_.wait_policy == WaitPolicy::Blocking && num_threads_ > 1) {
+  if (cfg_.wait_policy == WaitPolicy::Blocking && num_threads_ > 1 &&
+      !in_task) {
     // Sleep-based wait (the "more expensive blocking thread barrier" of the
     // paper's rgbcmy analysis).  The waiter does not execute tasks; with a
     // single thread there would be nobody left to run them, so that case
-    // falls through to the polling path below.
+    // falls through to the polling path below.  So does a wait inside a
+    // task body: once every executor held such a sleeper, the children
+    // they wait for would never run.
     blocked_waiters_.fetch_add(1, std::memory_order_acq_rel);
     std::unique_lock lock(cv_mu_);
     cv_.wait(lock, [&] { return done(); });
@@ -1088,17 +1102,19 @@ void Runtime::taskwait_on(const TaskHandle& h) {
   wait_until([&] { return t->finished(); });
 }
 
-void Runtime::taskwait_scope(const ContextPtr& ctx) {
+void Runtime::taskwait_scope(const ContextPtr& ctx, bool closing) {
   stats_.on_taskwait();
-  wait_until([&] {
-    return ctx->live_children.load(std::memory_order_acquire) == 0;
-  });
+  wait_until([&] { return ctx->live_children() == 0; });
+  // Quiescent point: the children's dependency history is finished
+  // history, unless a concurrent spawner got in meanwhile.
+  ctx->quiesce(closing);
   if (std::exception_ptr ep = ctx->take_exception()) std::rethrow_exception(ep);
 }
 
 void Runtime::barrier() {
   stats_.on_barrier();
-  wait_until([&] { return pending_.load(std::memory_order_acquire) == 0; });
+  wait_until([&] { return pending_tasks() == 0; });
+  root_ctx_->quiesce();
   // Quiescent point: relieve any ring at half capacity so iterative apps
   // (barrier per frame/phase) never drop events between real drains.  Rings
   // below the threshold are left alone — an empty-handed check is two loads
@@ -1148,7 +1164,7 @@ ProfileSnapshot Runtime::profile() const {
 
 void Runtime::dump_health(std::ostream& os) const {
   const StatsSnapshot s = stats();
-  const std::size_t inflight = pending_.load(std::memory_order_acquire);
+  const std::size_t inflight = pending_tasks();
   os << "[oss-health] pending=" << inflight << " spawned=" << s.tasks_spawned
      << " executed=" << s.tasks_executed << " queued=" << scheduler_->queued()
      << "\n";

@@ -193,8 +193,10 @@ class Runtime {
 
   /// Waits until every task spawned into `ctx` finished, then rethrows the
   /// first exception any of them threw.  This is the TaskGroup wait hook;
-  /// `taskwait()` is the same operation on the ambient context.
-  void taskwait_scope(const ContextPtr& ctx);
+  /// `taskwait()` is the same operation on the ambient context.  The wait
+  /// ends with `ctx->quiesce(closing)`: pass `closing` when no task will be
+  /// spawned into `ctx` again (TaskGroup's destructor).
+  void taskwait_scope(const ContextPtr& ctx, bool closing = false);
 
   /// Waits until the runtime has no unfinished task at all, then rethrows
   /// any pending root-context exception.  The calling thread helps execute
@@ -323,8 +325,10 @@ class Runtime {
   }
 
   /// Unfinished tasks currently known to the runtime (diagnostics).
+  /// `retired_` is read first, so the difference never underflows.
   [[nodiscard]] std::size_t pending_tasks() const noexcept {
-    return pending_.load(std::memory_order_acquire);
+    const std::size_t r = retired_.load(std::memory_order_acquire);
+    return spawned_.load(std::memory_order_acquire) - r;
   }
 
   /// The runtime the current thread is executing under (null outside).
@@ -397,7 +401,10 @@ class Runtime {
   /// topologies, the single gate otherwise).
   [[nodiscard]] std::size_t gate_index(int wid) const noexcept;
 
-  /// Polls (executing tasks) or blocks until `done()` returns true.
+  /// Polls (executing tasks) until `done()` returns true.  Under the
+  /// blocking policy a wait outside any task body sleeps instead; a wait
+  /// inside a task body always helps, since the tasks it waits for may
+  /// need the very executor it holds.
   void wait_until(const std::function<bool()>& done);
 
   /// Releases a captured iteration's hold predecessors in capture order
@@ -486,10 +493,13 @@ class Runtime {
   std::condition_variable collector_cv_;
   std::atomic<bool> collector_stop_{false};
 
-  /// Spawned but not finished: written by every spawn and every
-  /// retirement, so it sits alone on its line — in particular off the line
-  /// holding stop_, which every idle worker loads each loop.
-  alignas(64) std::atomic<std::size_t> pending_{0};
+  /// Tasks ever spawned and tasks retired; pending_tasks() is their
+  /// difference.  Both only grow.  Spawners write the first and finishers
+  /// the second, so each sits alone on its line — a spawn never pulls the
+  /// line every retirement writes, and neither shares the line holding
+  /// stop_, which every idle worker loads each loop.
+  alignas(64) std::atomic<std::size_t> spawned_{0};
+  alignas(64) std::atomic<std::size_t> retired_{0};
   alignas(64) std::atomic<bool> stop_{false};
 
   std::size_t pinned_workers_ = 0; ///< workers OSS_PIN actually bound

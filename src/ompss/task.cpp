@@ -17,12 +17,15 @@ const char* to_string(TaskState s) noexcept {
   return "?";
 }
 
-TaskContext::TaskContext(std::size_t dep_shards, bool pooled)
-    : domain_(std::make_unique<DepDomain>(dep_shards, pooled)),
-      dep_shards_(dep_shards),
-      pooled_(pooled) {}
+TaskContext::TaskContext(std::size_t dep_shards)
+    : domain_(std::make_unique<DepDomain>(dep_shards)),
+      dep_shards_(dep_shards) {}
 
 TaskContext::~TaskContext() = default;
+
+void TaskContext::quiesce(bool closing) {
+  domain_->quiesce([this] { return live_children() == 0; }, !closing);
+}
 
 void TaskContext::note_exception(std::exception_ptr ep) {
   std::lock_guard lock(mu_);
@@ -60,11 +63,10 @@ void Task::destroy_or_recycle() noexcept {
 void Task::release_body() noexcept { fn_ = nullptr; }
 
 const ContextPtr& Task::child_context() {
-  // Children inherit the parent context's dependency-shard count and pool
-  // mode, so one RuntimeConfig setting propagates down the task tree.
+  // Children inherit the parent context's dependency-shard count, so one
+  // RuntimeConfig setting propagates down the task tree.
   if (!child_ctx_) {
-    child_ctx_ = std::make_shared<TaskContext>(parent_ctx_->dep_shards(),
-                                               parent_ctx_->pooled());
+    child_ctx_ = std::make_shared<TaskContext>(parent_ctx_->dep_shards());
   }
   return child_ctx_;
 }

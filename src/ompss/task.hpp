@@ -36,7 +36,6 @@
 
 #include "ompss/access.hpp"
 #include "ompss/small_fn.hpp"
-#include "ompss/task_pool.hpp"
 
 namespace oss {
 
@@ -82,6 +81,12 @@ class TaskPtr {
     TaskPtr p;
     p.p_ = t;
     return p;
+  }
+
+  /// A new reference to a task someone else keeps alive (retains).
+  static TaskPtr share(Task* t) noexcept {
+    if (t) retain(t);
+    return adopt(t);
   }
 
   void reset() noexcept {
@@ -165,21 +170,34 @@ class TaskContext {
  public:
   /// `dep_shards` sizes the context's dependency domain (power of two;
   /// RuntimeConfig::dep_shards).  Child contexts inherit their parent's
-  /// count — see Task::child_context.  `pooled` selects the per-shard
-  /// node pools for the domain's interval maps (RuntimeConfig::pool).
-  explicit TaskContext(std::size_t dep_shards = 1,
-                       bool pooled = pool::enabled_by_default());
+  /// count — see Task::child_context.
+  explicit TaskContext(std::size_t dep_shards = 1);
   ~TaskContext();
 
   TaskContext(const TaskContext&) = delete;
   TaskContext& operator=(const TaskContext&) = delete;
 
-  /// Direct children spawned into this context that have not yet finished.
-  /// Incremented by the spawner and decremented by every retiring worker,
-  /// so it gets a cache line of its own: off the std::make_shared control
-  /// block (whose refcount sits just before the object) and off the
-  /// read-mostly fields below.
-  alignas(64) std::atomic<std::size_t> live_children{0};
+  /// Children ever spawned into this context, and children that retired.
+  /// Both only grow: spawners add to `spawned`, retiring workers to
+  /// `retired`, each on a cache line of its own, so a spawn never touches
+  /// the line every finisher writes.  Their difference is live_children().
+  alignas(64) std::atomic<std::size_t> spawned{0};
+  alignas(64) std::atomic<std::size_t> retired{0};
+
+  /// Direct children spawned into this context that have not yet finished
+  /// (what `taskwait` waits on).  `retired` is read first: it can only
+  /// trail `spawned`, so a zero means that at the second read every child
+  /// spawned so far had retired.
+  [[nodiscard]] std::size_t live_children() const noexcept {
+    const std::size_t r = retired.load(std::memory_order_acquire);
+    return spawned.load(std::memory_order_acquire) - r;
+  }
+
+  /// Forgets the finished history of the dependency domain if no child is
+  /// live (re-checked under every shard lock; DepDomain::quiesce).
+  /// `closing` promises that no child will be spawned here again, so
+  /// finished homed producers need not be kept for later votes.
+  void quiesce(bool closing = false);
 
   /// Dependency domain for sibling tasks of this context.  Internally
   /// sharded and locked; callers need no external synchronization.
@@ -188,9 +206,6 @@ class TaskContext {
 
   /// Shard count of this context's domain (inherited by child contexts).
   [[nodiscard]] std::size_t dep_shards() const noexcept { return dep_shards_; }
-
-  /// Whether this context's domain uses pooled map nodes (inherited).
-  [[nodiscard]] bool pooled() const noexcept { return pooled_; }
 
   /// Records the first exception escaping a child task.  Thread-safe.
   void note_exception(std::exception_ptr ep);
@@ -204,7 +219,6 @@ class TaskContext {
  private:
   alignas(64) std::unique_ptr<DepDomain> domain_;
   std::size_t dep_shards_;
-  bool pooled_;
   mutable std::mutex mu_;
   std::exception_ptr first_exception_;
 };
@@ -523,9 +537,14 @@ class Task {
   std::string label_;
   int priority_ = 0;
   std::uint32_t trace_label_ = 0;
+  // A spawner registering a consumer reads home_node_ and finished_ of
+  // every producer it meets (vote, then the retired check); adjacent, they
+  // usually share one cache line.
   std::atomic<int> home_node_{-1};
   std::atomic<int> inherited_node_{-1};
   std::atomic<bool> home_soft_{false};
+  std::atomic<bool> finished_{false};
+  std::atomic<TaskState> state_{TaskState::Created};
   bool undeferred_ = false;
   bool pooled_ = false;
   std::uint64_t spawn_ts_ = 0;      ///< raw ticks at spawn (prof on only)
@@ -536,8 +555,6 @@ class Task {
   std::atomic<std::uint64_t> path_ticks_{0}; ///< own completed path length
   std::vector<std::shared_ptr<std::mutex>> exclusion_locks_;
   TaskPtr queue_ref_; // owning self-reference while in a lock-free queue
-  std::atomic<bool> finished_{false};
-  std::atomic<TaskState> state_{TaskState::Created};
   std::atomic<std::uint32_t> refs_{1};
 };
 

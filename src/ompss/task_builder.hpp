@@ -248,24 +248,24 @@ class TaskGroup {
  public:
   explicit TaskGroup(Runtime& rt)
       : rt_(&rt),
-        // The group's private domain shards (and pools) like the runtime's
-        // contexts do.
-        ctx_(std::make_shared<TaskContext>(rt.config().dep_shards,
-                                           rt.config().pool)),
+        // The group's private domain shards like the runtime's contexts do.
+        ctx_(std::make_shared<TaskContext>(rt.config().dep_shards)),
         uncaught_on_entry_(std::uncaught_exceptions()) {}
 
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
 
   ~TaskGroup() noexcept(false) {
+    // The last wait closes the group's context: nothing can be spawned
+    // into it afterwards.
     if (std::uncaught_exceptions() > uncaught_on_entry_) {
       try {
-        rt_->taskwait_scope(ctx_);
+        rt_->taskwait_scope(ctx_, /*closing=*/true);
       } catch (...) {
         // Already unwinding: drain, drop the child exception.
       }
     } else {
-      rt_->taskwait_scope(ctx_);
+      rt_->taskwait_scope(ctx_, /*closing=*/true);
     }
   }
 
@@ -282,7 +282,7 @@ class TaskGroup {
 
   /// Tasks spawned through the group that have not finished yet.
   [[nodiscard]] std::size_t pending() const noexcept {
-    return ctx_->live_children.load(std::memory_order_acquire);
+    return ctx_->live_children();
   }
 
   [[nodiscard]] Runtime& runtime() const noexcept { return *rt_; }

@@ -1,7 +1,7 @@
 #pragma once
 // task_pool.hpp — allocation recycling for the steady-state spawn path.
 //
-// Three cooperating pieces:
+// Two cooperating pieces:
 //
 //   * oss::pool::acquire()/recycle() — a process-wide Task recycler.
 //     Retiring workers push finished tasks onto a per-thread freelist
@@ -16,17 +16,9 @@
 //     carved from permanent slabs: a hard cap needs to be able to give
 //     memory back.
 //
-//   * oss::pool::NodePool + PoolAllocator — a fixed-size freelist used
-//     as the std::map allocator for the dependency domain's interval
-//     maps.  One NodePool per shard, protected by the shard's existing
-//     mutex (the pool itself takes no locks).  Nodes are carved from
-//     64-node chunks and recycled forever; interval erase/insert churn
-//     in register_range stops hitting the global allocator once a
-//     shard is warm.
-//
 //   * enabled_by_default() — the OSS_POOL=on|off escape hatch, read
 //     once.  Off restores the pre-pool behavior (plain `new`/`delete`
-//     per task, default map allocator) bit-exactly.
+//     per task) bit-exactly.
 //
 // Memory ordering: recycle() publishes the cleared task by pushing it
 // under the thread-local list (same thread) or the global mutex; a
@@ -35,8 +27,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <new>
-#include <vector>
 
 namespace oss {
 
@@ -79,99 +69,6 @@ std::size_t global_pool_size() noexcept;
 // OSS_POOL env knob, parsed once (on|1|true|yes vs off|0|false|no;
 // default on).  RuntimeConfig's `pool` field defaults to this.
 bool enabled_by_default() noexcept;
-
-// ---------------------------------------------------------------------------
-// NodePool: fixed-size-node freelist, externally synchronized.
-//
-// The node size latches on the first allocation (the map's tree-node
-// size); anything larger falls through to the global allocator so a
-// rebound allocator for an oversized type stays correct.
-class NodePool {
- public:
-  NodePool() = default;
-  NodePool(const NodePool&) = delete;
-  NodePool& operator=(const NodePool&) = delete;
-  ~NodePool() {
-    for (void* c : chunks_) ::operator delete(c);
-  }
-
-  void* allocate(std::size_t bytes) {
-    if (node_size_ == 0)
-      node_size_ = bytes < sizeof(FreeNode) ? sizeof(FreeNode) : bytes;
-    if (bytes > node_size_) return ::operator new(bytes);
-    if (!free_) refill();
-    FreeNode* n = free_;
-    free_ = n->next;
-    return n;
-  }
-
-  void deallocate(void* p, std::size_t bytes) noexcept {
-    if (bytes > node_size_) {
-      ::operator delete(p);
-      return;
-    }
-    auto* n = static_cast<FreeNode*>(p);
-    n->next = free_;
-    free_ = n;
-  }
-
-  std::size_t chunk_count() const noexcept { return chunks_.size(); }
-
- private:
-  struct FreeNode {
-    FreeNode* next;
-  };
-  static constexpr std::size_t kChunkNodes = 64;
-
-  void refill() {
-    char* chunk = static_cast<char*>(::operator new(node_size_ * kChunkNodes));
-    chunks_.push_back(chunk);
-    for (std::size_t i = kChunkNodes; i-- > 0;) {
-      auto* n = reinterpret_cast<FreeNode*>(chunk + i * node_size_);
-      n->next = free_;
-      free_ = n;
-    }
-  }
-
-  std::size_t node_size_ = 0;
-  FreeNode* free_ = nullptr;
-  std::vector<void*> chunks_;
-};
-
-// Standard-allocator shim over a NodePool.  A null pool means "behave
-// exactly like std::allocator" — that is the OSS_POOL=off path.
-template <class T>
-struct PoolAllocator {
-  using value_type = T;
-
-  NodePool* pool = nullptr;
-
-  PoolAllocator() noexcept = default;
-  explicit PoolAllocator(NodePool* p) noexcept : pool(p) {}
-  template <class U>
-  PoolAllocator(const PoolAllocator<U>& o) noexcept : pool(o.pool) {}
-
-  T* allocate(std::size_t n) {
-    if (n == 1 && pool) return static_cast<T*>(pool->allocate(sizeof(T)));
-    return static_cast<T*>(::operator new(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    if (n == 1 && pool) {
-      pool->deallocate(p, sizeof(T));
-      return;
-    }
-    ::operator delete(p);
-  }
-
-  template <class U>
-  bool operator==(const PoolAllocator<U>& o) const noexcept {
-    return pool == o.pool;
-  }
-  template <class U>
-  bool operator!=(const PoolAllocator<U>& o) const noexcept {
-    return pool != o.pool;
-  }
-};
 
 }  // namespace pool
 }  // namespace oss

@@ -191,4 +191,55 @@ TEST(AffinityInheritanceProperty, HintsDissolveOnFlatTopology) {
   for (const auto& h : hs) EXPECT_EQ(h.home_node(), -1);
 }
 
+// A quiescent taskwait, barrier or TaskGroup::wait makes the domain forget
+// finished history, and a sweep drops finished producers from a domain that
+// never quiesces.  Finished producers that have a resolved home are kept by
+// both, because they still vote: a tail spawned afterwards inherits.
+TEST(AffinityInheritanceQuiescence, TailInheritsAcrossTaskwaitAndBarrier) {
+  oss::Runtime rt(two_node_config(2));
+  ASSERT_EQ(rt.topology().num_nodes(), 2u);
+  long slot = 0;
+  rt.task("head").out(slot).affinity(1).spawn([&slot] { slot = 1; });
+  rt.taskwait();
+  auto tail = rt.task("tail").in(slot).spawn([] {});
+  rt.taskwait();
+  EXPECT_EQ(tail.home_node(), 1);
+  rt.barrier();
+  auto tail2 = rt.task("tail2").inout(slot).spawn([&slot] { slot += 1; });
+  rt.barrier();
+  EXPECT_EQ(tail2.home_node(), 1);
+  EXPECT_EQ(slot, 2);
+}
+
+TEST(AffinityInheritanceQuiescence, TailInheritsAcrossTaskGroupWait) {
+  oss::Runtime rt(two_node_config(2));
+  long slot = 0;
+  oss::TaskGroup g(rt);
+  g.task("head").out(slot).affinity(1).spawn([&slot] { slot = 1; });
+  g.wait();
+  auto tail = g.task("tail").in(slot).spawn([] {});
+  g.wait();
+  EXPECT_EQ(tail.home_node(), 1);
+}
+
+TEST(AffinityInheritanceQuiescence, TailInheritsAcrossSweep) {
+  // No taskwait: more than DepDomain::kSweepFloor finished readers of a
+  // neighbouring word make the shard sweep them away, and the homed head
+  // must survive the sweep.
+  oss::Runtime rt(two_node_config(2));
+  alignas(64) long words[2] = {0, 0};
+  auto head = rt.task("head").out(words[0]).affinity(1).spawn([] {});
+  head.wait();
+  const auto side = static_cast<int>(oss::DepDomain::kSweepFloor) + 1000;
+  std::vector<oss::TaskHandle> readers;
+  for (int i = 0; i < side; ++i) {
+    readers.push_back(rt.task("side").in(words[1]).spawn([] {}));
+  }
+  for (const auto& r : readers) r.wait();
+  auto tail = rt.task("tail").in(words[0]).spawn([] {});
+  tail.wait();
+  EXPECT_EQ(tail.home_node(), 1);
+  rt.taskwait();
+}
+
 } // namespace

@@ -283,4 +283,42 @@ TEST(ConcurrentSpawn, GraphEdgeParityAcrossShardCounts) {
   EXPECT_EQ(single, sharded);
 }
 
+// Quiescence races foreign spawners: while four foreign threads spawn
+// chains into the root context, the owning thread keeps calling taskwait()
+// and barrier(), so the domain's quiescence check (re-checked under each
+// shard lock) races live registrations, and the chains outgrow the sweep
+// floor so sweeps run too.  Forgetting a producer that is still running
+// would let two links of one chain overlap: a lost update here, a race
+// under TSan.
+TEST(ConcurrentSpawn, QuiescenceAndSweepsRaceForeignSpawners) {
+  constexpr int kSpawners = 4;
+  constexpr int kTasks = 3000;
+  oss::Runtime rt(oss_test::env_config(3));
+  std::vector<long> slots(kSpawners, 0);
+  std::atomic<int> done{0};
+  std::thread waiter([&] {
+    int round = 0;
+    while (done.load(std::memory_order_acquire) < kSpawners) {
+      if (++round % 2 == 0) {
+        rt.taskwait();
+      } else {
+        rt.barrier();
+      }
+    }
+  });
+  on_threads(kSpawners, [&](int s) {
+    long* slot = &slots[static_cast<std::size_t>(s)];
+    for (int i = 0; i < kTasks; ++i) {
+      rt.task("link").inout(*slot).spawn([slot] { *slot += 1; });
+    }
+    done.fetch_add(1, std::memory_order_release);
+  });
+  waiter.join();
+  rt.barrier();
+  for (int s = 0; s < kSpawners; ++s) {
+    EXPECT_EQ(slots[static_cast<std::size_t>(s)], kTasks) << "spawner " << s;
+  }
+  EXPECT_EQ(rt.pending_tasks(), 0u);
+}
+
 } // namespace

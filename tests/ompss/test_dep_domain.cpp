@@ -1,6 +1,7 @@
-// Unit tests for the interval-map dependency domain: hazard discovery,
+// Unit tests for the interval-store dependency domain: hazard discovery,
 // interval splitting, edge deduplication, taskwait-on wait sets, the
-// sharded (multi-lock) registration path, and home-node inheritance votes.
+// sharded (multi-lock) registration path, home-node inheritance votes, and
+// forgetting finished history (quiescence, sweeps) without changing edges.
 #include "ompss/dep_domain.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <random>
 #include <tuple>
 #include <vector>
 
@@ -545,6 +547,253 @@ TEST_F(DepDomainTest, GroupJoinersAreOrderedAfterPreviousReaders) {
   }
   EXPECT_TRUE(war_from_reader);
   EXPECT_EQ(c2->preds, 2); // writer + reader
+}
+
+// ---------------------------------------------------------------------------
+// Forgetting finished history: quiescence, sweeps and the interval store.
+// ---------------------------------------------------------------------------
+
+/// Marks `t` finished the way a retiring worker does.
+void retire(const TaskPtr& t) {
+  std::vector<TaskPtr> succs;
+  t->finish_take_successors(succs);
+}
+
+TEST_F(DepDomainTest, QuiesceForgetsHistoryAndReleasesRetainedTasks) {
+  auto w = make_task({oss::region(buf_, 16, Mode::Out)});
+  auto r = make_task({oss::region(buf_, 16, Mode::In)});
+  reg(w);
+  reg(r);
+  EXPECT_EQ(domain_.retained_count(), 2u);
+  EXPECT_EQ(w.use_count(), 2) << "the handle and the shard's reference";
+  retire(w);
+  retire(r);
+  domain_.quiesce([] { return true; });
+  EXPECT_EQ(domain_.retained_count(), 0u);
+  EXPECT_EQ(w.use_count(), 1);
+  EXPECT_EQ(domain_.entry_count(), 1u) << "the interval survives, empty";
+  // Nothing of the old generation is visible any more.
+  std::vector<TaskPtr> hits;
+  const auto base = reinterpret_cast<std::uintptr_t>(buf_);
+  domain_.collect_overlapping(base, base + 16, hits);
+  EXPECT_TRUE(hits.empty());
+  auto w2 = make_task({oss::region(buf_, 16, Mode::Out)});
+  EXPECT_TRUE(reg(w2).empty());
+  auto r2 = make_task({oss::region(buf_, 8, Mode::In)});
+  auto edges = reg(r2);
+  ASSERT_EQ(edges.size(), 1u);
+  EXPECT_EQ(edges[0].from, w2->id());
+}
+
+TEST_F(DepDomainTest, QuiesceKeepsHistoryWhileAChildIsLive) {
+  auto w = make_task({oss::region(buf_, 16, Mode::Out)});
+  reg(w);
+  domain_.quiesce([] { return false; });
+  EXPECT_EQ(domain_.retained_count(), 1u);
+  auto r = make_task({oss::region(buf_, 16, Mode::In)});
+  EXPECT_EQ(reg(r).size(), 1u);
+}
+
+TEST_F(DepDomainTest, QuiesceWithAHomedTaskKeepsOnlyHomedProducers) {
+  auto head = make_task({oss::region(buf_, 32, Mode::Out)});
+  head->set_home_node(1);
+  reg(head);
+  auto other = make_task({oss::region(buf_ + 64, 32, Mode::Out)});
+  reg(other);
+  retire(head);
+  retire(other);
+  domain_.quiesce([] { return true; });
+  EXPECT_EQ(domain_.retained_count(), 1u) << "only the homed head survives";
+  EXPECT_EQ(other.use_count(), 1);
+  auto tail = make_task({oss::region(buf_, 32, Mode::In),
+                         oss::region(buf_ + 64, 32, Mode::In)});
+  EXPECT_TRUE(reg(tail).empty());
+  EXPECT_EQ(tail->inherited_node(), 1) << "finished homed producers vote";
+}
+
+TEST(DepDomainSweep, DropsOnlyFinishedHomelessProducers) {
+  auto ctx = std::make_shared<oss::TaskContext>();
+  DepDomain d(1, /*sweep_floor=*/1);
+  char buf[64] = {};
+  std::uint64_t id = 0;
+  auto make = [&](Mode m) {
+    return oss::make_task(++id, [] {}, {oss::region(buf, 16, m)}, ctx, "");
+  };
+  auto head = make(Mode::Out);
+  head->set_home_node(1);
+  d.register_task(head, nullptr);
+  retire(head);
+  std::vector<TaskPtr> readers;
+  for (int i = 0; i < 8; ++i) {
+    readers.push_back(make(Mode::In));
+    d.register_task(readers.back(), nullptr);
+    if (i % 2 == 0) retire(readers.back());
+  }
+  // One entry, so the shard sweeps once it retains more than two tasks,
+  // then again each time the survivors doubled: the readers finished
+  // before a sweep are gone, the live ones and the homed head stay.
+  EXPECT_EQ(d.entry_count(), 1u);
+  EXPECT_LT(d.retained_count(), 9u);
+  EXPECT_EQ(readers[0].use_count(), 1) << "released by the first sweep";
+  EXPECT_EQ(readers[2].use_count(), 1) << "released by the second sweep";
+  EXPECT_EQ(head.use_count(), 2) << "homed finished producer still named";
+  for (int i = 1; i < 8; i += 2) EXPECT_EQ(readers[i].use_count(), 2);
+  // A writer still takes WAR edges from every live reader, and the tail
+  // still inherits the head's home.
+  std::vector<std::uint64_t> from;
+  auto w = make(Mode::Out);
+  d.register_task(w, [&](const TaskPtr& f, const TaskPtr&, DepKind) {
+    from.push_back(f->id());
+  });
+  std::sort(from.begin(), from.end());
+  EXPECT_EQ(from, (std::vector<std::uint64_t>{3, 5, 7, 9}));
+  EXPECT_EQ(w->inherited_node(), 1);
+}
+
+TEST(DepDomainStore, RandomOrderRegionsKeepTheirOwnHistory) {
+  // Enough distinct regions to split leaves many times, inserted in random
+  // order: every reader must find exactly its own region's writer.
+  constexpr std::size_t kRegions = 5000;
+  auto ctx = std::make_shared<oss::TaskContext>();
+  DepDomain d(1);
+  std::vector<std::uint64_t> words(2 * kRegions);
+  std::vector<std::size_t> order(kRegions);
+  for (std::size_t i = 0; i < kRegions; ++i) order[i] = i;
+  std::shuffle(order.begin(), order.end(), std::mt19937(7));
+  std::vector<TaskPtr> writer(kRegions);
+  std::uint64_t id = 0;
+  for (const std::size_t i : order) {
+    writer[i] = oss::make_task(++id, [] {}, {oss::out(words[2 * i])}, ctx, "");
+    d.register_task(writer[i], nullptr);
+  }
+  EXPECT_EQ(d.entry_count(), kRegions);
+  std::shuffle(order.begin(), order.end(), std::mt19937(8));
+  for (const std::size_t i : order) {
+    // Each reader covers its word and the unused gap after it.
+    auto r = oss::make_task(++id, [] {}, {oss::region(&words[2 * i], 16, Mode::In)},
+                            ctx, "");
+    std::vector<std::uint64_t> from;
+    d.register_task(r, [&](const TaskPtr& f, const TaskPtr&, DepKind k) {
+      EXPECT_EQ(k, DepKind::Raw);
+      from.push_back(f->id());
+    });
+    ASSERT_EQ(from.size(), 1u) << "region " << i;
+    EXPECT_EQ(from[0], writer[i]->id());
+  }
+  EXPECT_EQ(d.entry_count(), 2 * kRegions) << "each gap became an entry";
+}
+
+// ---------------------------------------------------------------------------
+// Edge parity with held producers.  A deterministic program registers
+// straight into a domain: producers are held (never run) and retire only
+// where the program says so; at random quiescent points every task so far
+// retires and the domain is quiesced, and a sweep floor of 1 makes the
+// shards sweep whenever they outgrow twice their entries.  The program
+// covers in/out/inout, commutative/concurrent groups, explicit `.after`
+// edges, homed producers and partial overlaps across stripe boundaries.
+// The edge multiset and every inherited home are hashed; the pinned
+// constants were read from this program run against the domain that held
+// owning references in a std::map and never forgot history, so forgetting
+// finished history changes nothing a later registration sees.
+// ---------------------------------------------------------------------------
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+struct ParityResult {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  std::size_t edges = 0;
+};
+
+ParityResult run_held_program(std::uint32_t seed, std::size_t shards) {
+  constexpr std::size_t kTasks = 500;
+  // Stripe-aligned arena, so offsets relative to it (and the overlaps they
+  // make) do not depend on where the heap put it.
+  std::vector<char> storage(5 * kStripe);
+  const auto raw = reinterpret_cast<std::uintptr_t>(storage.data());
+  char* const base = storage.data() + ((kStripe - raw % kStripe) % kStripe);
+
+  std::mt19937 rng(seed);
+  auto ctx = std::make_shared<oss::TaskContext>();
+  auto d = std::make_unique<DepDomain>(shards, /*sweep_floor=*/1);
+  std::vector<TaskPtr> tasks;
+  std::vector<std::tuple<std::uint64_t, std::uint64_t, int>> edges;
+  const oss::EdgeSink sink = [&](const TaskPtr& f, const TaskPtr& to,
+                                 DepKind k) {
+    edges.emplace_back(f->id(), to->id(), static_cast<int>(k));
+  };
+  const Mode modes[] = {Mode::In,    Mode::In,          Mode::In,
+                        Mode::Out,   Mode::Out,         Mode::InOut,
+                        Mode::InOut, Mode::Commutative, Mode::Concurrent};
+  const std::size_t lengths[] = {32, 96, 160, 300};
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    AccessList acc;
+    const std::size_t n = 1 + rng() % 3;
+    for (std::size_t a = 0; a < n; ++a) {
+      // Windows around the three interior stripe boundaries, now and then
+      // one spanning a whole stripe.
+      char* const anchor = base + kStripe * (1 + rng() % 3);
+      const Mode m = modes[rng() % 9];
+      if (rng() % 20 == 0) {
+        acc.push_back(oss::region(anchor - 1000, kStripe + 2000, m));
+      } else {
+        const auto off = static_cast<std::ptrdiff_t>(rng() % 24) - 12;
+        acc.push_back(oss::region(anchor + off * 48, lengths[rng() % 4], m));
+      }
+    }
+    TaskPtr t = oss::make_task(i + 1, [] {}, std::move(acc), ctx, "");
+    if (rng() % 8 == 0) t->set_home_node(static_cast<int>(rng() % 2));
+    t->preds.store(1, std::memory_order_relaxed); // spawn guard
+    d->register_task(t, sink);
+    if (!tasks.empty() && rng() % 6 == 0) {
+      oss::add_explicit_edge(tasks[rng() % tasks.size()], t, sink);
+    }
+    tasks.push_back(t);
+    if (rng() % 10 == 0) retire(tasks[rng() % tasks.size()]);
+    if (rng() % 60 == 0) {
+      for (const TaskPtr& x : tasks) {
+        if (!x->finished()) retire(x);
+      }
+      d->quiesce([] { return true; });
+    }
+  }
+  std::sort(edges.begin(), edges.end());
+  ParityResult res;
+  res.edges = edges.size();
+  for (const auto& [from, to, kind] : edges) {
+    res.hash = fnv1a(fnv1a(fnv1a(res.hash, from), to),
+                     static_cast<std::uint64_t>(kind));
+  }
+  for (const TaskPtr& t : tasks) {
+    res.hash = fnv1a(res.hash, static_cast<std::uint64_t>(t->inherited_node() + 1));
+  }
+  return res;
+}
+
+TEST(DepDomainParity, HeldProgramsMatchPinnedHashes) {
+  struct Pinned {
+    std::uint32_t seed;
+    std::uint64_t hash;
+    std::size_t edges;
+  };
+  const Pinned pinned[] = {
+      {1, 8157276719165893801ull, 2144},
+      {2, 2858188983262515743ull, 2079},
+      {3, 7868377102266922548ull, 1861},
+      {4, 17700741556371107590ull, 2052},
+  };
+  for (const Pinned& p : pinned) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+      const ParityResult r = run_held_program(p.seed, shards);
+      EXPECT_EQ(r.hash, p.hash) << "seed " << p.seed << " shards " << shards;
+      EXPECT_EQ(r.edges, p.edges) << "seed " << p.seed << " shards " << shards;
+    }
+  }
 }
 
 } // namespace

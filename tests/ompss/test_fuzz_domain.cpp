@@ -1,4 +1,4 @@
-// Fuzz tests for the interval-map dependency domain.
+// Fuzz tests for the interval-store dependency domain.
 //
 // 1. Oracle check: random byte-range accesses are registered directly on a
 //    DepDomain; a per-byte brute-force simulation derives every required
@@ -10,12 +10,20 @@
 //    byte-level bodies; the final arena must match the serial execution
 //    exactly (serial equivalence at byte granularity, stressing interval
 //    splitting under partial overlaps).
+//
+// 3. Forgetting history: the oracle check again with quiescent points
+//    (every task so far retires, the domain forgets) at random places and
+//    a sweep floor of 1, over 1 and 8 shards; and held programs over all
+//    five modes whose edge multisets and inherited homes hash to constants
+//    read from the domain that never forgot history.
 #include "ompss/ompss.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
+#include <tuple>
 #include <vector>
 
 namespace {
@@ -30,12 +38,14 @@ struct FuzzTaskSpec {
   std::vector<FuzzAccess> accesses;
 };
 
+/// Random program over [0, arena); modes In/Out/InOut, or all five
+/// (adding Commutative/Concurrent) when `groups` is set.
 std::vector<FuzzTaskSpec> make_program(std::uint32_t seed, std::size_t arena,
-                                       int tasks) {
+                                       int tasks, bool groups = false) {
   std::mt19937 rng(seed);
   std::uniform_int_distribution<std::size_t> pos(0, arena - 1);
   std::uniform_int_distribution<int> len(1, static_cast<int>(arena / 4));
-  std::uniform_int_distribution<int> mode(0, 2);
+  std::uniform_int_distribution<int> mode(0, groups ? 4 : 2);
   std::uniform_int_distribution<int> naccess(1, 3);
 
   std::vector<FuzzTaskSpec> prog(static_cast<std::size_t>(tasks));
@@ -45,8 +55,7 @@ std::vector<FuzzTaskSpec> make_program(std::uint32_t seed, std::size_t arena,
       const std::size_t b = pos(rng);
       const std::size_t e = std::min(arena, b + static_cast<std::size_t>(len(rng)));
       if (b >= e) continue;
-      t.accesses.push_back(
-          {b, e, static_cast<oss::Mode>(mode(rng))}); // In/Out/InOut
+      t.accesses.push_back({b, e, static_cast<oss::Mode>(mode(rng))});
     }
   }
   return prog;
@@ -192,10 +201,145 @@ TEST_P(DomainFuzzTest, RuntimeByteLevelSerialEquivalence) {
   }
 }
 
+/// Marks `t` finished the way a retiring worker does.
+void retire(const oss::TaskPtr& t) {
+  std::vector<oss::TaskPtr> succs;
+  t->finish_take_successors(succs);
+}
+
+TEST_P(DomainFuzzTest, EdgeGraphCoversHazardsBetweenQuiescentPoints) {
+  constexpr std::size_t kArena = 48;
+  constexpr int kTasks = 120;
+  const auto prog = make_program(GetParam() + 303, kArena, kTasks);
+  alignas(16) static char arena_storage[kArena];
+
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+    // Quiescent points at random places: every task so far retires and the
+    // domain forgets; hazards from before a point are then satisfied.
+    std::mt19937 rng(GetParam());
+    oss::DepDomain domain(shards, /*sweep_floor=*/1);
+    auto ctx = std::make_shared<oss::TaskContext>();
+    std::vector<oss::TaskPtr> tasks;
+    std::vector<std::size_t> epoch(prog.size(), 0);
+    std::size_t current_epoch = 0;
+    std::vector<std::vector<std::size_t>> succ(prog.size());
+    for (std::size_t i = 0; i < prog.size(); ++i) {
+      oss::AccessList acc;
+      for (const auto& a : prog[i].accesses) {
+        acc.push_back(
+            oss::region(arena_storage + a.begin, a.end - a.begin, a.mode));
+      }
+      auto t = oss::make_task(i + 1, [] {}, std::move(acc), ctx, "");
+      domain.register_task(t, [&](const oss::TaskPtr& from,
+                                  const oss::TaskPtr& to, oss::DepKind) {
+        succ[from->id() - 1].push_back(to->id() - 1);
+      });
+      epoch[i] = current_epoch;
+      tasks.push_back(std::move(t));
+      if (rng() % 12 == 0) {
+        for (const auto& x : tasks) {
+          if (!x->finished()) retire(x);
+        }
+        domain.quiesce([] { return true; });
+        ++current_epoch;
+      }
+    }
+
+    std::vector<std::vector<bool>> reach(prog.size(),
+                                         std::vector<bool>(prog.size(), false));
+    for (std::size_t i = prog.size(); i-- > 0;) {
+      for (std::size_t j : succ[i]) {
+        EXPECT_EQ(epoch[i], epoch[j]) << "edge across a quiescent point";
+        reach[i][j] = true;
+        for (std::size_t k = 0; k < prog.size(); ++k) {
+          if (reach[j][k]) reach[i][k] = true;
+        }
+      }
+    }
+    for (const auto& [from, to] : required_orderings(prog, kArena)) {
+      if (epoch[from] != epoch[to]) continue; // retired before `to` spawned
+      EXPECT_TRUE(reach[from][to])
+          << "missing ordering " << from << " -> " << to << " (seed "
+          << GetParam() << ", shards " << shards << ")";
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DomainFuzzTest,
                          ::testing::Values(11u, 22u, 33u, 44u, 55u, 66u),
                          [](const auto& info) {
                            return "seed" + std::to_string(info.param);
                          });
+
+// Held byte-range programs over all five modes: producers retire only where
+// the program says so (singly, or all at a quiescent point), some carry a
+// home node, and the domain sweeps whenever a shard outgrows twice its
+// entries.  The pinned hashes of the edge multiset and the inherited homes
+// were read from the same programs run against the domain that held owning
+// references and never forgot history.
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::uint64_t held_program_hash(std::uint32_t seed, std::size_t shards) {
+  constexpr std::size_t kArena = 64;
+  constexpr int kTasks = 300;
+  const auto prog = make_program(seed, kArena, kTasks, /*groups=*/true);
+  alignas(16) static char arena_storage[kArena];
+  std::mt19937 rng(seed * 7u + 1u);
+  oss::DepDomain domain(shards, /*sweep_floor=*/1);
+  auto ctx = std::make_shared<oss::TaskContext>();
+  std::vector<oss::TaskPtr> tasks;
+  std::vector<std::tuple<std::uint64_t, std::uint64_t, int>> edges;
+  for (std::size_t i = 0; i < prog.size(); ++i) {
+    oss::AccessList acc;
+    for (const auto& a : prog[i].accesses) {
+      acc.push_back(
+          oss::region(arena_storage + a.begin, a.end - a.begin, a.mode));
+    }
+    auto t = oss::make_task(i + 1, [] {}, std::move(acc), ctx, "");
+    if (rng() % 6 == 0) t->set_home_node(static_cast<int>(rng() % 3));
+    domain.register_task(t, [&](const oss::TaskPtr& from,
+                                const oss::TaskPtr& to, oss::DepKind k) {
+      edges.emplace_back(from->id(), to->id(), static_cast<int>(k));
+    });
+    tasks.push_back(std::move(t));
+    if (rng() % 4 == 0) retire(tasks[rng() % tasks.size()]);
+    if (rng() % 40 == 0) {
+      for (const auto& x : tasks) {
+        if (!x->finished()) retire(x);
+      }
+      domain.quiesce([] { return true; });
+    }
+  }
+  std::sort(edges.begin(), edges.end());
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const auto& [from, to, kind] : edges) {
+    h = fnv1a(fnv1a(fnv1a(h, from), to), static_cast<std::uint64_t>(kind));
+  }
+  for (const auto& t : tasks) {
+    h = fnv1a(h, static_cast<std::uint64_t>(t->inherited_node() + 1));
+  }
+  return fnv1a(h, edges.size());
+}
+
+TEST(DomainFuzzParity, HeldProgramsMatchPinnedHashes) {
+  const std::pair<std::uint32_t, std::uint64_t> pinned[] = {
+      {11, 5493454508510877200ull},
+      {22, 14255295461394895250ull},
+      {33, 7635845618821913118ull},
+      {44, 2069587824808742930ull},
+  };
+  for (const auto& [seed, hash] : pinned) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+      EXPECT_EQ(held_program_hash(seed, shards), hash)
+          << "seed " << seed << " shards " << shards;
+    }
+  }
+}
 
 } // namespace

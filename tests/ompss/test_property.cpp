@@ -116,6 +116,44 @@ TEST_P(RandomDagTest, SerialEquivalence) {
   EXPECT_EQ(vars, expected) << "seed=" << seed << " threads=" << threads;
 }
 
+// The same oracle with taskwaits and barriers at random points: each one
+// finds the context quiescent and makes the domain forget its finished
+// history, which must not change a single later edge.
+TEST_P(RandomDagTest, SerialEquivalenceAcrossRandomTaskwaits) {
+  const auto [seed, threads, policy] = GetParam();
+  const ProgramSpec prog = make_random_program(seed + 500, 12, 150);
+  const std::vector<std::uint64_t> expected = run_serial(prog);
+
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+    oss::RuntimeConfig cfg = oss::RuntimeConfig::with_threads(threads);
+    cfg.scheduler = policy;
+    cfg.dep_shards = shards;
+    oss::Runtime rt(cfg);
+    std::mt19937 rng(seed);
+
+    std::vector<std::uint64_t> vars(static_cast<std::size_t>(prog.num_vars), 1);
+    for (std::size_t i = 0; i < prog.tasks.size(); ++i) {
+      const auto& t = prog.tasks[i];
+      auto b = rt.task();
+      for (int v : t.reads) b.in(vars[static_cast<std::size_t>(v)]);
+      for (int v : t.writes) b.out(vars[static_cast<std::size_t>(v)]);
+      for (int v : t.inouts) b.inout(vars[static_cast<std::size_t>(v)]);
+      b.spawn([&vars, &t, i] {
+        const std::uint64_t val = task_value(i, t, vars);
+        for (int v : t.writes) vars[static_cast<std::size_t>(v)] = val;
+        for (int v : t.inouts) vars[static_cast<std::size_t>(v)] = val;
+      });
+      const auto roll = rng() % 20;
+      if (roll == 0) rt.taskwait();
+      if (roll == 1) rt.barrier();
+    }
+    rt.taskwait();
+
+    EXPECT_EQ(vars, expected) << "seed=" << seed << " threads=" << threads
+                              << " shards=" << shards;
+  }
+}
+
 TEST_P(RandomDagTest, HazardOrderingRespected) {
   const auto [seed, threads, policy] = GetParam();
   const ProgramSpec prog = make_random_program(seed + 1000, 8, 100);

@@ -185,8 +185,8 @@ using EdgeTuple = std::tuple<std::uint32_t, std::uint32_t, int>;
 /// capture hold-guard creates — and collects the discovered edge multiset
 /// in program-index space.
 std::vector<EdgeTuple> reference_edges(const std::vector<ProgramTask>& prog,
-                                       std::size_t shards, bool pooled) {
-  auto ctx = std::make_shared<oss::TaskContext>(shards, pooled);
+                                       std::size_t shards) {
+  auto ctx = std::make_shared<oss::TaskContext>(shards);
   std::vector<oss::TaskPtr> tasks;
   std::unordered_map<std::uint64_t, std::uint32_t> index;
   std::vector<EdgeTuple> edges;
@@ -247,14 +247,14 @@ RuntimeConfig replay_config(std::size_t threads, std::size_t shards,
 TEST(Replay, EdgeMultisetParityAcrossShardAndPoolConfigs) {
   ParityBuffers b;
   const std::vector<ProgramTask> prog = parity_program(b);
-  const std::vector<EdgeTuple> ref = reference_edges(prog, 1, false);
+  const std::vector<EdgeTuple> ref = reference_edges(prog, 1);
   ASSERT_FALSE(ref.empty());
   for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
     for (const bool pool : {true, false}) {
       SCOPED_TRACE("shards=" + std::to_string(shards) +
                    " pool=" + std::to_string(pool));
       // The reference itself must not depend on the config either.
-      EXPECT_EQ(reference_edges(prog, shards, pool), ref);
+      EXPECT_EQ(reference_edges(prog, shards), ref);
       EXPECT_EQ(captured_edges(prog, replay_config(2, shards, pool)), ref);
     }
   }

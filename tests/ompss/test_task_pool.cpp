@@ -307,19 +307,28 @@ using EdgeTuple = std::tuple<std::uint64_t, std::uint64_t, int>;
 
 // Registers a fixed program straight into a DepDomain — no execution, no
 // worker threads — so the discovered edge set is exactly determined by
-// the registration logic and the pooled-vs-plain map allocator under
-// test, not by scheduling timing.
+// the registration logic and by where the tasks come from (pool or plain
+// `new`), not by scheduling timing.  Each round ends quiescent, so pooled
+// tasks recycle into the next round under addresses that stale entries
+// still hold.
 std::vector<EdgeTuple> run_program(bool pooled, std::size_t shards) {
-  oss::DepDomain domain(shards, pooled);
-  auto ctx = std::make_shared<oss::TaskContext>(shards, pooled);
+  oss::DepDomain domain(shards);
+  auto ctx = std::make_shared<oss::TaskContext>(shards);
   std::vector<char> arena(1 << 16);
   char* a = arena.data();
   std::uint64_t next_id = 0;
   std::vector<oss::TaskPtr> live;
   std::vector<EdgeTuple> edges;
   auto reg = [&](oss::AccessList acc) {
-    oss::TaskPtr t =
-        oss::make_task(++next_id, [] {}, std::move(acc), ctx, "");
+    oss::TaskPtr t;
+    if (pooled) {
+      oss::Task* raw = oss::pool::acquire().task;
+      raw->prepare(++next_id, [] {}, ctx, "");
+      raw->set_accesses(acc.data(), acc.size());
+      t = oss::TaskPtr::adopt(raw);
+    } else {
+      t = oss::make_task(++next_id, [] {}, std::move(acc), ctx, "");
+    }
     domain.register_task(
         t, [&](const oss::TaskPtr& f, const oss::TaskPtr& to,
                oss::DepKind k) {
@@ -347,14 +356,15 @@ std::vector<EdgeTuple> run_program(bool pooled, std::size_t shards) {
     // round exercises the finished-predecessor pruning paths too.
     for (auto& t : live) t->mark_finished();
     live.clear();
+    domain.quiesce([] { return true; });
   }
   std::sort(edges.begin(), edges.end());
   return edges;
 }
 
 TEST(TaskPool, PoolOffMatchesPoolOnEdgeSets) {
-  // OSS_POOL=off must reproduce today's allocator behavior bit-exactly;
-  // pooling may never change the discovered dependency graph.  Task ids
+  // OSS_POOL=off must reproduce the pooled behavior bit-exactly; recycled
+  // tasks may never change the discovered dependency graph.  Task ids
   // are deterministic (single registering thread), so the sorted edge
   // multisets must be identical — on the single-lock fallback and on the
   // sharded registration path alike.

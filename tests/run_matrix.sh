@@ -23,12 +23,17 @@
 # the concurrent-spawner stress suite, the multi-stream decode-service
 # suite, and the graph-replay suite — the two structurally different
 # registration paths (single-lock fallback vs sorted multi-lock), with
-# task/node pooling both armed and disarmed, under every scheduler,
+# task pooling both armed and disarmed, under every scheduler,
 # without doubling the full cross product.  The service suite rides this
 # phase because its per-stream checksum parity is exactly the property the
 # scheduler × shards × pool axes could break; the replay suite because its
 # edge-multiset parity contract is *defined* over the shards × pool axis
 # (docs/replay.md).
+#
+# A third phase sweeps the wait policy (OSS_BARRIER ∈ {poll, block}) over
+# the taskwait, decode-service and app suites: a blocking wait outside a
+# task sleeps, one inside a task body must still help run tasks, and the
+# service and the pipelined apps nest exactly those waits.
 #
 # Usage:
 #   tests/run_matrix.sh [build-dir]          (default: ./build)
@@ -36,7 +41,8 @@
 # Overrides (space-separated lists):
 #   MATRIX_BINARIES MATRIX_SCHEDULERS MATRIX_IDLES MATRIX_NUMAS
 #   MATRIX_TOPOLOGIES MATRIX_DEP_SHARDS MATRIX_POOLS
-#   MATRIX_SHARD_BINARIES MATRIX_GTEST_ARGS
+#   MATRIX_SHARD_BINARIES MATRIX_BARRIERS MATRIX_BARRIER_BINARIES
+#   MATRIX_GTEST_ARGS
 set -u
 
 BUILD_DIR=${1:-build}
@@ -48,9 +54,11 @@ TOPOLOGIES=${MATRIX_TOPOLOGIES:-"flat 2x2"}
 DEP_SHARDS=${MATRIX_DEP_SHARDS:-"1 8"}
 POOLS=${MATRIX_POOLS:-"on off"}
 SHARD_BINARIES=${MATRIX_SHARD_BINARIES:-"ompss_test_concurrent_spawn ompss_test_replay service_test_service"}
+BARRIERS=${MATRIX_BARRIERS:-"poll block"}
+BARRIER_BINARIES=${MATRIX_BARRIER_BINARIES:-"ompss_test_taskwait service_test_service apps_test_h264dec apps_test_chained_apps apps_test_complex_apps apps_test_kernel_apps"}
 GTEST_ARGS=${MATRIX_GTEST_ARGS:-"--gtest_brief=1"}
 
-for bin in $BINARIES $SHARD_BINARIES; do
+for bin in $BINARIES $SHARD_BINARIES $BARRIER_BINARIES; do
   if [ ! -x "$BUILD_DIR/$bin" ]; then
     echo "run_matrix: missing binary $BUILD_DIR/$bin (build first)" >&2
     exit 2
@@ -95,8 +103,8 @@ for sched in $SCHEDULERS; do
 done
 
 # Phase 2: dependency-shard × pool axis.  OSS_DEP_SHARDS=1 is the
-# single-lock fallback, 8 the sharded default; OSS_POOL=on recycles tasks
-# and map nodes, off is the plain-allocator path.  Every combination must
+# single-lock fallback, 8 the sharded default; OSS_POOL=on recycles tasks,
+# off is the plain-allocator path.  Every combination must
 # survive every scheduler with concurrent spawners hammering the domain.
 for shards in $DEP_SHARDS; do
   for pool in $POOLS; do
@@ -121,6 +129,31 @@ for shards in $DEP_SHARDS; do
           sed 's/^/     | /' "$log"
         fi
       done
+    done
+  done
+done
+
+# Phase 3: wait-policy axis, under every scheduler.
+for barrier in $BARRIERS; do
+  for sched in $SCHEDULERS; do
+    combo="OSS_BARRIER=$barrier OSS_SCHEDULER=$sched"
+    for bin in $BARRIER_BINARIES; do
+      runs=$((runs + 1))
+      if env -u OSS_NUM_THREADS -u OSS_SPIN_ROUNDS -u OSS_STEAL_TRIES \
+             -u OSS_PIN -u OSS_PRESSURE -u OSS_RECORD_GRAPH -u OSS_TRACE \
+             -u OSS_IDLE -u OSS_NUMA -u OSS_TOPOLOGY -u OSS_DEP_SHARDS \
+             -u OSS_TRACE_BUF -u OSS_TRACE_OUT -u OSS_STATS \
+             -u OSS_STATS_EVERY_MS -u OSS_POOL \
+             -u OSS_PROF -u OSS_PROF_EVERY_MS -u OSS_WATCHDOG \
+             -u OSS_SERVICE_MAX_STREAMS -u OSS_SERVICE_WINDOW \
+             OSS_BARRIER="$barrier" OSS_SCHEDULER="$sched" \
+             "$BUILD_DIR/$bin" $GTEST_ARGS >"$log" 2>&1; then
+        printf 'ok   %-38s %s\n' "$bin" "$combo"
+      else
+        failures=$((failures + 1))
+        printf 'FAIL %-38s %s\n' "$bin" "$combo"
+        sed 's/^/     | /' "$log"
+      fi
     done
   done
 done
